@@ -2,25 +2,28 @@
 
 Times the vectorised kernels (:func:`repro.core.schedule_random_rank`,
 :func:`repro.core.schedule_greedy_first_fit`, riding the shared
-:class:`repro.perf.PathIndex`) against the retained pure-Python
-``_reference_*`` oracles on identical inputs, asserts the schedules are
-identical, and records the measurements into ``BENCH_PERF.json`` at the
-repository root.
+:class:`repro.perf.PathIndex`) and the paper's off-line schedulers
+(:func:`repro.core.schedule_theorem1`,
+:func:`repro.core.schedule_corollary2`, on the batched even-split
+kernel) against the retained pure-Python ``_reference_*`` oracles on
+identical inputs, asserts the schedules are identical, and records the
+measurements into ``BENCH_PERF.json`` at the repository root.
 
 Acceptance gates: ≥5× on ``schedule_random_rank`` at ``n = 1024`` with
 a random permutation (seed 0), ≥5× on ``schedule_greedy_first_fit`` at
-``n = 1024`` (full mode); ≥2× on greedy at ``n = 128`` and ≥3× on
+``n = 1024`` (full mode); ≥2× on greedy at ``n = 128``, ≥3× on
 :func:`repro.perf.batch_schedule` over the serial per-set loop at
-``B = 32, n = 256`` (both modes, so the CI ``--quick`` smoke enforces
-them too).  The path-index cache is cleared before every timed call, so
-the vectorised numbers are *cold* — cache hits across schedulers only
-widen the gap in real use.
+``B = 32, n = 256``, ≥10× on Theorem 1 with ``local_traffic`` (2n
+messages) and ≥3× on Corollary 2 (8n uniform messages on
+``ConstantCapacity(lg n, 2 lg n)``), both at ``n = 1024`` (both modes,
+so the CI ``--quick`` smoke enforces them too).  The path-index cache
+is cleared before every timed call, so the vectorised numbers are
+*cold* — cache hits across schedulers only widen the gap in real use.
 
-Each row also records ``peak_rss_kb``: the process high-water RSS after
-the case ran (``ru_maxrss``).  It is a monotone watermark — later rows
-can only report equal-or-larger values — so read it as "the bench fit
-in this much memory up to and including this case", not as a per-case
-footprint.
+Each row also records ``peak_kb`` and ``reference_peak_kb``: the
+``tracemalloc`` peak of one untimed call of the vectorised kernel and
+of its oracle — the memory that case itself allocates, including its
+result, independent of every other row.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_perf.py``
 (``--quick`` for the CI smoke subset) or via pytest as a bench.
@@ -29,13 +32,14 @@ Run standalone with ``PYTHONPATH=src python benchmarks/bench_perf.py``
 import argparse
 import json
 import math
-import resource
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PERF.json"
 REPEATS = 3
+OFFLINE_WORKLOADS = ("thm1 uniform", "thm1 local", "thm1 perm", "cor2 uniform")
 
 
 def _build_case(kind, n, w=None, msgs_per_proc=None, seed=0):
@@ -62,6 +66,19 @@ def _time(fn, ft, m, *, repeats=REPEATS, **kw):
         result = fn(ft, m, **kw)
         best = min(best, time.perf_counter() - t0)
     return best, result
+
+
+def _peak_kb(fn, ft, m):
+    """``tracemalloc`` peak of one cold call, in KiB."""
+    from repro.perf import clear_path_index_cache
+
+    clear_path_index_cache(ft)
+    tracemalloc.start()
+    try:
+        fn(ft, m)
+        return tracemalloc.get_traced_memory()[1] // 1024
+    finally:
+        tracemalloc.stop()
 
 
 def _run_case(label, kind, n, w=None, msgs_per_proc=None, repeats=REPEATS):
@@ -95,7 +112,62 @@ def _run_case(label, kind, n, w=None, msgs_per_proc=None, repeats=REPEATS):
         "reference_s": round(old_s, 6),
         "vectorised_s": round(new_s, 6),
         "speedup": round(old_s / new_s, 2),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_kb": _peak_kb(new_fn, ft, m),
+        "reference_peak_kb": _peak_kb(old_fn, ft, m),
+    }
+
+
+def _build_offline_case(workload, n):
+    """The offline benchmark inputs: Theorem 1 on the full-bandwidth
+    tree, Corollary 2 on a tree with ``a = 2``."""
+    from repro.core import ConstantCapacity, FatTree
+    from repro.workloads import random_permutation, uniform_random
+    from repro.workloads.locality import local_traffic
+
+    depth = n.bit_length() - 1
+    if workload == "cor2 uniform":
+        ft = FatTree(n, ConstantCapacity(depth, 2 * depth))
+        return ft, uniform_random(n, 8 * n, seed=0), "uniform 8n, cap 2 lg n"
+    ft = FatTree(n)
+    if workload == "thm1 uniform":
+        return ft, uniform_random(n, 4 * n, seed=0), "uniform 4n"
+    if workload == "thm1 local":
+        return ft, local_traffic(n, 2 * n, seed=0), "local_traffic 2n"
+    return ft, random_permutation(n, seed=0), "permutation"
+
+
+def _run_offline_case(workload, n, repeats=REPEATS):
+    """One paper scheduler against its ``_reference_*`` oracle; the
+    schedules must match cycle for cycle, in message order."""
+    from repro.core import schedule_corollary2, schedule_theorem1
+    from repro.core.reuse_scheduler import _reference_schedule_corollary2
+    from repro.core.scheduler import _reference_schedule_theorem1
+
+    ft, m, described = _build_offline_case(workload, n)
+    if workload.startswith("cor2"):
+        new_fn, old_fn = schedule_corollary2, _reference_schedule_corollary2
+    else:
+        new_fn, old_fn = schedule_theorem1, _reference_schedule_theorem1
+    new_s, new_sched = _time(new_fn, ft, m, repeats=repeats)
+    old_s, old_sched = _time(old_fn, ft, m, repeats=repeats)
+    label = f"{workload} n={n}"
+    assert new_sched.per_level_cycles == old_sched.per_level_cycles and [
+        c.as_pairs() for c in new_sched.cycles
+    ] == [c.as_pairs() for c in old_sched.cycles], (
+        f"{label}: batched scheduler diverged from reference"
+    )
+    return {
+        "case": label,
+        "kernel": new_fn.__name__,
+        "n": n,
+        "workload": described,
+        "cycles": new_sched.num_cycles,
+        "reference_s": round(old_s, 6),
+        "vectorised_s": round(new_s, 6),
+        "speedup": round(old_s / new_s, 2),
+        "messages_per_s": int(len(m) / new_s),
+        "peak_kb": _peak_kb(new_fn, ft, m),
+        "reference_peak_kb": _peak_kb(old_fn, ft, m),
     }
 
 
@@ -143,7 +215,16 @@ def _run_batched_case(repeats=REPEATS):
         "vectorised_s": round(best_new, 6),
         "speedup": round(best_old / best_new, 2),
         "messages_per_s": int(total_m / best_new),
-        "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        "peak_kb": _peak_kb(
+            lambda ft, sets: batch_schedule(ft, sets, kernel="random_rank", seed=0),
+            ft, sets,
+        ),
+        "reference_peak_kb": _peak_kb(
+            lambda ft, sets: _reference_batch_schedule(
+                ft, sets, kernel="random_rank", seed=0
+            ),
+            ft, sets,
+        ),
     }
 
 
@@ -183,6 +264,7 @@ def run_bench(quick=False):
             ("random_rank uniform n=256", "random_rank", 256, 40, 4),
             ("greedy uniform n=128", "greedy", 128, 26, 4),
         ]
+        offline_sizes = (1024,)
         repeats = 1
     else:
         cases = [
@@ -193,10 +275,16 @@ def run_bench(quick=False):
             ("greedy uniform n=256", "greedy", 256, 40, 4),
             ("greedy perm n=1024", "greedy", 1024, None, None),
         ]
+        offline_sizes = (1024, 4096)
         repeats = REPEATS
     rows = [
         _run_case(label, kind, n, w, mpp, repeats=repeats)
         for label, kind, n, w, mpp in cases
+    ]
+    rows += [
+        _run_offline_case(workload, n, repeats=repeats)
+        for n in offline_sizes
+        for workload in OFFLINE_WORKLOADS
     ]
     # the batched case is millisecond-scale: always take best-of-3 so
     # the quick-mode ≥3× gate doesn't flap on a single noisy sample
@@ -215,10 +303,11 @@ def _gate_failures(rows, quick):
     """Every acceptance-gate violation in ``rows`` as human-readable
     strings (empty list == all gates pass).
 
-    Full mode gates the PR 2 headline (random_rank n=1024 ≥5×) and the
-    greedy n=1024 case (≥5×); both modes gate greedy n=128 (≥2×) and
-    the batched case (≥3× over the serial per-set loop), so the CI
-    ``--quick`` smoke enforces the latter two on every push.
+    Full mode gates the random_rank n=1024 headline (≥5×) and the
+    greedy n=1024 case (≥5×); both modes gate greedy n=128 (≥2×), the
+    batched case (≥3× over the serial per-set loop), Theorem 1 on local
+    traffic at n=1024 (≥10×) and Corollary 2 at n=1024 (≥3×), so the CI
+    ``--quick`` smoke enforces the latter four on every push.
     """
     by_case = {row["case"]: row for row in rows}
 
@@ -237,14 +326,17 @@ def _gate_failures(rows, quick):
         check("greedy perm n=1024", 5.0, failures)
     check("greedy uniform n=128", 2.0, failures)
     check("batched random_rank B=32 n=256", 3.0, failures)
+    check("thm1 local n=1024", 10.0, failures)
+    check("cor2 uniform n=1024", 3.0, failures)
     return failures
 
 
 def test_vectorised_kernels_speedup(report):
     """The acceptance gates: ≥5× on schedule_random_rank and greedy at
     n=1024, ≥2× on greedy at n=128, ≥3× on batch_schedule over the
-    serial per-set loop at B=32 n=256 — schedules bit-identical in
-    every case (asserted inside the timing harness)."""
+    serial per-set loop at B=32 n=256, ≥10× on Theorem 1 local traffic
+    and ≥3× on Corollary 2 at n=1024 — schedules bit-identical in every
+    case (asserted inside the timing harness)."""
     rows = run_bench(quick=False)
     report(rows, title="PERF — vectorised kernels vs pure-Python reference")
     headline = rows[0]
@@ -259,7 +351,8 @@ def main(argv=None):
         "--quick",
         action="store_true",
         help="small sizes, single repeat (CI smoke); skips the n=1024 "
-        "gates but still enforces the greedy n=128 and batched ones",
+        "kernel gates but still enforces the greedy n=128, batched and "
+        "n=1024 scheduler ones",
     )
     parser.add_argument(
         "--obs-gate",

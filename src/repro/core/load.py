@@ -70,8 +70,9 @@ class LevelLoads:
         Returns a new :class:`LevelLoads` equal to
         ``channel_loads(ft, M + added - removed)`` at the cost of one
         bincount pass over just the delta — so loops that repeatedly
-        shrink or grow a working set (the Theorem 1 halving loop, retry
-        loops) stop recomputing loads of the full set from scratch.
+        shrink or grow a working set (the reference Theorem 1 halving
+        loop, chaos reroutes) stop recomputing loads of the full set
+        from scratch.
         Raises ``ValueError`` if ``removed`` is not a sub-multiset (some
         load would go negative).
         """

@@ -23,8 +23,16 @@ from repro.core import (
     schedule_theorem1,
     theorem1_cycle_bound,
 )
+from repro.core.fattree import Direction
 from repro.core.partition import group_indices
-from repro.core.scheduler import partition_group
+from repro.core.scheduler import (
+    _reference_partition_group,
+    _reference_schedule_theorem1,
+    partition_group,
+)
+from repro.core.tree import level_of_flat
+from repro.obs import Obs
+from repro.workloads import uniform_random
 
 
 def check(ft, m):
@@ -167,16 +175,86 @@ class TestPartitionGroup:
         assert len(pieces) <= 2 ** math.ceil(math.log2(lam_g))
 
     def test_zero_capacity_message_raises(self):
-        """A single unsplittable message that still violates capacity is
-        impossible with positive capacities; the guard is unreachable in
-        normal use but protects against broken custom profiles."""
-        # capacities are validated positive, so construct the condition
-        # artificially via partition_group's own error path: not possible
-        # through the public API — assert the public API always succeeds.
+        """With positive capacities every single message fits, so the
+        public API never reaches the over-capacity guard; see
+        :class:`TestOverCapacitySingleton` for the guard itself."""
         ft = FatTree(4, ConstantCapacity(2, 1))
         m = MessageSet([0], [3], 4)
         sched = schedule_theorem1(ft, m)
         sched.validate(ft, m)
+
+
+class _DeadLeafChannelTree(FatTree):
+    """A tree whose leaf-0 up channel reports capacity 0 while
+    :meth:`routable_mask` still calls every message routable — the
+    inconsistent state a broken custom tree could present."""
+
+    def cap_vector(self, level, direction):
+        vec = super().cap_vector(level, direction)
+        if level == self.depth and direction is Direction.UP:
+            vec = vec.copy()
+            vec[0] = 0
+        return vec
+
+
+class TestOverCapacitySingleton:
+    """A one-message piece that still overloads a channel cannot be split
+    further: the level-synchronous halving must raise, not spin."""
+
+    def test_schedule_theorem1_raises(self):
+        ft = _DeadLeafChannelTree(8, ConstantCapacity(3, 2))
+        m = MessageSet([0, 0, 1, 5], [4, 7, 6, 2], 8)
+        with pytest.raises(ValueError, match="single message exceeds"):
+            schedule_theorem1(ft, m)
+
+    def test_partition_group_and_reference_raise(self):
+        ft = _DeadLeafChannelTree(8, ConstantCapacity(3, 2))
+        m = MessageSet([0, 0, 1], [4, 5, 6], 8)
+        (idx,) = group_indices(m, ft.depth).values()
+        with pytest.raises(ValueError, match="single message exceeds"):
+            partition_group(ft, m, idx)
+        with pytest.raises(ValueError, match="single message exceeds"):
+            _reference_partition_group(ft, m, idx)
+
+    def test_messages_avoiding_the_dead_channel_still_schedule(self):
+        ft = _DeadLeafChannelTree(8, ConstantCapacity(3, 2))
+        m = MessageSet([1, 2, 5], [4, 6, 3], 8)
+        sched = schedule_theorem1(ft, m)
+        assert sched.num_cycles == _reference_schedule_theorem1(ft, m).num_cycles
+
+
+class TestObsEvents:
+    """Theorem 1 reports its level-by-level structure: one ``partition``
+    trace event per LCA level and a ``theorem1.level_cycles`` counter."""
+
+    def _run(self):
+        n = 64
+        ft = FatTree(n, ConstantCapacity(6, 2))
+        m = uniform_random(n, 4 * n, seed=3)
+        obs = Obs(enabled=True)
+        return m, ft, schedule_theorem1(ft, m, obs=obs), obs
+
+    def test_one_partition_event_per_level(self):
+        m, ft, sched, obs = self._run()
+        events = obs.tracer.select("partition")
+        assert [e["level"] for e in events] == sorted(sched.per_level_cycles)
+        nodes: dict[int, set[int]] = {}
+        for key in group_indices(m.without_self_messages(), ft.depth):
+            nodes.setdefault(level_of_flat(key >> 1), set()).add(key >> 1)
+        for event in events:
+            assert event["scheduler"] == "theorem1"
+            assert event["cycles"] == sched.per_level_cycles[event["level"]]
+            assert event["nodes"] == len(nodes[event["level"]])
+
+    def test_level_cycles_counter_totals_num_cycles(self):
+        _, _, sched, obs = self._run()
+        per_level = {
+            labels["level"]: value
+            for kind, name, labels, value in obs.metrics.series()
+            if kind == "counter" and name == "theorem1.level_cycles"
+        }
+        assert sum(per_level.values()) == sched.num_cycles
+        assert per_level == sched.per_level_cycles
 
 
 @settings(max_examples=40, deadline=None)
