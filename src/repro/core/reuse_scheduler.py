@@ -36,6 +36,7 @@ if TYPE_CHECKING:
 
 import numpy as np
 
+from .delivery import record_offline_cycles
 from .fattree import FatTree
 from .load import channel_loads
 from .message import MessageSet
@@ -113,9 +114,8 @@ def schedule_corollary2(
                     routable.take(piece) for piece in np.split(order, starts[1:])
                 )
     if obs.enabled:
-        from .scheduler import _record_offline_cycles
-
-        _record_offline_cycles(obs, "corollary2", cycles, n_self)
+        record_offline_cycles(obs, "corollary2", [len(c) for c in cycles])
+        obs.metrics.inc("messages.self", n_self, scheduler="corollary2")
     return Schedule(cycles=cycles, n_self_messages=n_self)
 
 

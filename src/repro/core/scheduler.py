@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from ..obs import Obs
     from .load import LevelLoads
 
+from .delivery import record_offline_cycles
 from .errors import UnroutableError
 from .fattree import Direction, FatTree
 from .load import channel_loads
@@ -197,7 +198,8 @@ def schedule_theorem1(
                 obs.metrics.inc("theorem1.level_cycles", width, level=level)
 
     if obs.enabled:
-        _record_offline_cycles(obs, "theorem1", cycles, n_self)
+        record_offline_cycles(obs, "theorem1", [len(c) for c in cycles])
+        obs.metrics.inc("messages.self", n_self, scheduler="theorem1")
     return Schedule(
         cycles=cycles, n_self_messages=n_self, per_level_cycles=per_level_cycles
     )
@@ -255,17 +257,3 @@ def _reference_schedule_theorem1(ft: FatTree, messages: MessageSet) -> Schedule:
         cycles=cycles, n_self_messages=n_self, per_level_cycles=per_level_cycles
     )
 
-
-def _record_offline_cycles(
-    obs: Obs, scheduler: str, cycles: list[MessageSet], n_self: int
-) -> None:
-    """Per-cycle accounting for an off-line scheduler: one ``cycle``
-    event per delivery cycle (nothing is ever congested or deferred
-    off-line) plus the self-message counter."""
-    from .online import _record_cycle
-
-    for t, cycle in enumerate(cycles):
-        _record_cycle(
-            obs, scheduler, t, delivered=len(cycle), congested=0, deferred=0
-        )
-    obs.metrics.inc("messages.self", n_self, scheduler=scheduler)

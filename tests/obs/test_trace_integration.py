@@ -2,8 +2,9 @@
 
 The acceptance contract: with tracing enabled, a JSONL trace of
 ``schedule_random_rank`` at n=256 round-trips (export → import →
-identical event list) and its per-cycle delivered / congested / deferred
-counts match the returned schedule exactly — while the schedule itself
+identical event list) and its per-cycle ``CycleStats`` record
+(delivered / congested / retried / deferred / dropped) matches the
+returned schedule exactly — while the schedule itself
 is bit-identical to an untraced run (instrumentation never touches the
 RNG).
 """
@@ -32,7 +33,9 @@ def _assert_cycle_accounting(events, sched, pending0):
     for t, e in enumerate(events):
         assert e["t"] == t
         assert e["delivered"] == len(sched.cycles[t])
-        assert e["delivered"] + e["congested"] + e["deferred"] == pending
+        assert e["in_flight"] == pending
+        parts = ("delivered", "congested", "retried", "deferred", "dropped")
+        assert sum(e[k] for k in parts) == pending
         pending -= e["delivered"]
     assert pending == 0
 
@@ -66,10 +69,12 @@ class TestRandomRankAcceptance:
         assert obs.metrics.counter_value(
             "messages.delivered", scheduler="random_rank"
         ) == len(routable)
-        congested = sum(e["congested"] for e in obs.tracer.select("cycle"))
+        failed = sum(
+            e["congested"] + e["retried"] for e in obs.tracer.select("cycle")
+        )
         assert (
             obs.metrics.counter_value("messages.retried", scheduler="random_rank")
-            == congested
+            == failed
         )
 
     def test_utilisation_is_a_fraction_per_level(self):
@@ -149,7 +154,7 @@ class TestOtherSchedulers:
         assert len(events) == out.cycles
         for e, r in zip(events, out.reports):
             assert e["delivered"] == len(r.delivered)
-            assert e["congested"] == len(r.congested)
+            assert e["congested"] + e["retried"] == len(r.congested)
             assert e["deferred"] == len(r.deferred)
 
     def test_buffered_steps_account_for_every_delivery(self):
