@@ -399,54 +399,21 @@ def cmd_trace(args) -> int:
         print("interrupted", file=sys.stderr)
         return 130
 
-    cycles = obs.tracer.select("cycle")
-    if cycles:
-        rows = [
-            {
-                "cycle": i,
-                "delivered": e["delivered"],
-                "congested": e["congested"],
-                "deferred": e["deferred"],
-            }
-            for i, e in enumerate(cycles[:12])
-        ]
-        totals = {
-            key: sum(e[key] for e in cycles)
-            for key in ("delivered", "congested", "deferred")
-        }
-        print(
-            format_table(
-                rows,
-                title=f"{label} on n={args.n}: {len(cycles)} delivery cycles — "
-                f"{totals['delivered']} delivered, {totals['congested']} congested, "
-                f"{totals['deferred']} deferred (message-cycles)",
-            )
+    # one record shape per cycle; the buffered simulator names it "step"
+    records = obs.tracer.select("cycle") or obs.tracer.select("step")
+    unit = "steps" if records and records[0]["type"] == "step" else "delivery cycles"
+    parts = ("delivered", "congested", "retried", "deferred", "dropped")
+    rows = [{"t": e["t"], **{k: e[k] for k in parts}} for e in records[:12]]
+    totals = ", ".join(f"{sum(e[k] for e in records)} {k}" for k in parts)
+    print(
+        format_table(
+            rows,
+            title=f"{label} on n={args.n}: {len(records)} {unit} — "
+            f"{totals} (message-cycles)",
         )
-        if len(cycles) > 12:
-            print(f"… {len(cycles) - 12} more cycles")
-    else:
-        # the buffered simulator has no delivery cycles; it emits steps
-        steps = obs.tracer.select("step")
-        rows = [
-            {
-                "step": e["t"],
-                "moves": e["moves"],
-                "delivered": e["delivered"],
-                "queue depth": e["queue_depth"],
-            }
-            for e in steps[:12]
-        ]
-        print(
-            format_table(
-                rows,
-                title=f"{label} on n={args.n}: {len(steps)} steps — "
-                f"{sum(e['delivered'] for e in steps)} delivered, "
-                f"max queue depth "
-                f"{int(obs.metrics.gauge_value('queue.max_depth', simulator='store_and_forward'))}",
-            )
-        )
-        if len(steps) > 12:
-            print(f"… {len(steps) - 12} more steps")
+    )
+    if len(records) > 12:
+        print(f"… {len(records) - 12} more {unit}")
 
     util_rows = [
         {
