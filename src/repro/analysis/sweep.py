@@ -63,16 +63,9 @@ def _call(
     fn: Callable[..., Mapping],
     params: Mapping,
     with_metrics: bool,
-    shared_specs: list[dict] | None = None,
 ) -> tuple[Mapping, dict | None]:
     """Top-level trampoline so (fn, params) pickles into worker processes;
     returns the result plus the run's metrics snapshot when requested."""
-    if shared_specs:
-        from ..perf.shm import install_shared_indexes
-
-        # idempotent per worker: the first task in each process attaches
-        # the parent's segments, later tasks find them already mapped
-        install_shared_indexes(shared_specs)
     _reseed_from_params(params)
     if not with_metrics:
         return fn(**params), None
@@ -108,7 +101,6 @@ def sweep(
     n_jobs: int | None = None,
     on_error: str = "raise",
     metrics: bool = False,
-    share_paths: Iterable[tuple] | None = None,
 ) -> list[dict]:
     """Run ``fn(**params)`` for each parameter set; each call returns a
     mapping of measured values, merged with its parameters into one row.
@@ -131,30 +123,15 @@ def sweep(
         observability default and adds its
         :meth:`~repro.obs.MetricsRegistry.snapshot` to the row as
         ``"metrics"`` (parallel workers ship theirs back with the row).
-    share_paths:
-        ``(tree, message_set)`` pairs whose :class:`~repro.perf.PathIndex`
-        every run will need.  Serially this just warms the in-process
-        cache; with ``n_jobs > 1`` the parent publishes each index once
-        into :mod:`multiprocessing.shared_memory`
-        (:class:`~repro.perf.shm.SharedPathIndexArena`) and workers
-        attach the segments read-only instead of rebuilding privately —
-        one copy of each packed-gid matrix system-wide.  Segments are
-        unlinked when the sweep finishes, fails, or loses a worker.
     """
     if on_error not in ("raise", "capture"):
         raise ValueError(f'on_error must be "raise" or "capture", got {on_error!r}')
     param_sets = [dict(p) for p in param_sets]
     if n_jobs is not None and n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    share_paths = list(share_paths) if share_paths is not None else []
 
     rows = []
     if n_jobs is None or n_jobs == 1:
-        if share_paths:
-            from ..perf import get_path_index
-
-            for ft, messages in share_paths:
-                get_path_index(ft, messages)  # warm the in-process cache
         for params in param_sets:
             try:
                 result, snapshot = _call(fn, params, metrics)
@@ -168,43 +145,22 @@ def sweep(
 
     from concurrent.futures import ProcessPoolExecutor
 
-    specs: list[dict] | None = None
-    arena = None
-    if share_paths:
-        from ..perf.shm import SharedPathIndexArena
-
-        arena = SharedPathIndexArena()
-    try:
-        if arena is not None:
-            for ft, messages in share_paths:
-                arena.publish(ft, messages)
-            specs = arena.specs
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [
-                pool.submit(_call, fn, params, metrics, specs)
-                for params in param_sets
-            ]
-            try:
-                for params, future in zip(param_sets, futures):
-                    try:
-                        result, snapshot = future.result()
-                    except Exception as exc:
-                        if on_error == "raise":
-                            raise
-                        rows.append(
-                            _merge(params, None, f"{type(exc).__name__}: {exc}")
-                        )
-                    else:
-                        rows.append(_merge(params, result, None, snapshot))
-            except BaseException:
-                # a propagating failure (or interrupt) must not leave the
-                # pool draining the whole remaining sweep: cancel everything
-                # that has not started, then only in-flight runs are awaited
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-    finally:
-        # the parent owns the segments: unlink them however the sweep
-        # ends — normal completion, a raising run, or a worker crash
-        if arena is not None:
-            arena.close()
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        futures = [pool.submit(_call, fn, params, metrics) for params in param_sets]
+        try:
+            for params, future in zip(param_sets, futures):
+                try:
+                    result, snapshot = future.result()
+                except Exception as exc:
+                    if on_error == "raise":
+                        raise
+                    rows.append(_merge(params, None, f"{type(exc).__name__}: {exc}"))
+                else:
+                    rows.append(_merge(params, result, None, snapshot))
+        except BaseException:
+            # a propagating failure (or interrupt) must not leave the
+            # pool draining the whole remaining sweep: cancel everything
+            # that has not started, then only in-flight runs are awaited
+            pool.shutdown(wait=False, cancel_futures=True)
+            raise
     return rows

@@ -797,8 +797,6 @@ def cmd_serve(args) -> int:
         max_pending=args.max_pending,
         max_batch=args.max_batch,
         batch_window_s=args.batch_window_ms / 1e3,
-        warm_sets=args.warm_sets,
-        warm_messages=args.warm_messages,
     )
     tenants = {}
     for spec in args.tenant or []:
@@ -827,8 +825,8 @@ def cmd_serve(args) -> int:
         else:
             asyncio.run(serve_stdio(engine))
     except KeyboardInterrupt:
-        # SIGINT is the daemon's off switch: drain the shard pool and
-        # unlink the shared-memory arena (finally below), then 130.
+        # SIGINT is the daemon's off switch: drain the shard pool
+        # (finally below), then 130.
         print("interrupted — shutting down shards", file=sys.stderr)
         code = 130
     finally:
@@ -1021,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--project",
         action="store_true",
         help="also run the whole-program rules (call graph over every "
-        "package module: pickle-boundary, async-blocking, shm-lifecycle, "
+        "package module: pickle-boundary, async-blocking, "
         "cache-invalidation, obs-rng-flow)",
     )
     p.add_argument(
@@ -1109,14 +1107,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch-window-ms", type=float, default=5.0,
         help="max time a request waits for batch-mates",
-    )
-    p.add_argument(
-        "--warm-sets", type=int, default=0,
-        help="seeded warm PathIndexes per tenant published to shared memory",
-    )
-    p.add_argument(
-        "--warm-messages", type=int, default=256,
-        help="messages per warm set",
     )
     p.add_argument(
         "--seed", type=int, default=0, help="fault-model seed for --tenant"

@@ -106,8 +106,8 @@ class FatTree:
     #: ``repro.perf.pathindex`` stashes on the tree via ``setattr``.
     #: Pickling must not carry them — every ProcessPool dispatch
     #: (parallel sweeps, the ``repro.serve`` shards) pickles the tree per
-    #: task, and a warm LRU hauls entire path matrices across the
-    #: process boundary, silently defeating the shared-memory arena.
+    #: task, and a warm LRU would haul entire path matrices across the
+    #: process boundary with every dispatch.
     _EPHEMERAL_ATTRS: tuple[str, ...] = ("_path_index_cache", "_capacity_fp")
 
     def __getstate__(self) -> dict[str, object]:

@@ -20,9 +20,9 @@ Two tiers:
   --project``) parse the whole package into a
   :class:`~repro.lint.project.ProjectContext` — an import-resolved
   call graph plus light dataflow — and check cross-module invariants:
-  pickle/ProcessPool boundaries, event-loop blocking, shared-memory
-  lifecycles, capacity-fingerprint invalidation, and interprocedural
-  obs/RNG threading.
+  pickle/ProcessPool boundaries, event-loop blocking,
+  capacity-fingerprint invalidation, and interprocedural obs/RNG
+  threading.
 
 Usage::
 

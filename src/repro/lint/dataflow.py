@@ -1,13 +1,10 @@
 """Light intraprocedural dataflow helpers for the project-level rules.
 
 Nothing here is a real abstract interpreter: the helpers answer the few
-structural questions the tier-2 rules need — *which local names hold a
-resource constructed by a given call*, *which attributes does a function
-write*, *is a cleanup call guaranteed on every exit path* — with
-conservative syntactic approximations.  Each helper errs toward
-reporting (a resource whose cleanup cannot be *proven* is flagged), so
-a false negative requires actively hiding the resource, while a false
-positive is silenced with an ordinary ``# reprolint: ignore[...]``.
+structural questions the tier-2 rules need — *which statements belong to
+a function's own scope*, *which attributes does a function write*,
+*which string literals does a subtree mention* — with syntactic
+approximations.
 
 Scope discipline matches :mod:`repro.lint.rules`: :func:`walk_scope`
 yields a function's own statements without descending into nested
@@ -21,13 +18,8 @@ import ast
 from collections.abc import Iterator
 
 __all__ = [
-    "ResourceUse",
-    "assigned_resources",
     "attribute_writes",
-    "cleanup_guarantee",
     "collect_str_constants",
-    "enclosing",
-    "parent_map",
     "walk_scope",
 ]
 
@@ -53,34 +45,6 @@ def walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         stack.extend(ast.iter_child_nodes(node))
-
-
-def parent_map(scope: ast.AST) -> dict[ast.AST, ast.AST]:
-    """Child -> parent links for every node in ``scope`` (full subtree).
-
-    Unlike :func:`walk_scope` this descends into nested functions too:
-    parent queries (\"is this call inside a ``finally``?\") must see the
-    whole syntactic nesting, not just the control-flow scope.
-    """
-    parents: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(scope):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents
-
-
-def enclosing(
-    node: ast.AST,
-    parents: dict[ast.AST, ast.AST],
-    kinds: tuple[type, ...],
-) -> ast.AST | None:
-    """The nearest ancestor of ``node`` matching ``kinds``, or ``None``."""
-    cur = parents.get(node)
-    while cur is not None:
-        if isinstance(cur, kinds):
-            return cur
-        cur = parents.get(cur)
-    return None
 
 
 def collect_str_constants(node: ast.AST) -> set[str]:
@@ -126,157 +90,3 @@ def _flatten_targets(target: ast.expr) -> Iterator[ast.expr]:
             yield from _flatten_targets(elt)
     else:
         yield target
-
-
-class ResourceUse:
-    """One ``var = <constructor>(...)`` acquisition inside a function.
-
-    ``var`` is the bound local name, ``call`` the constructor call,
-    ``stmt`` the whole assignment statement, and ``block``/``index``
-    locate the statement inside its enclosing statement list so the
-    straight-line continuation can be inspected.
-    """
-
-    __slots__ = ("var", "call", "stmt", "block", "index")
-
-    def __init__(
-        self,
-        var: str,
-        call: ast.Call,
-        stmt: ast.stmt,
-        block: list[ast.stmt],
-        index: int,
-    ) -> None:
-        self.var = var
-        self.call = call
-        self.stmt = stmt
-        self.block = block
-        self.index = index
-
-
-def assigned_resources(
-    scope: ast.AST,
-    is_constructor,
-) -> list[ResourceUse]:
-    """Find ``var = ctor(...)`` acquisitions where ``is_constructor``
-    accepts the :class:`ast.Call`.
-
-    Only simple single-name targets are tracked — a resource smuggled
-    through tuple unpacking or straight into a container defeats the
-    tracker, which the lifecycle rules treat as an escape (caller's
-    responsibility).  Acquisitions inside ``with ctor(...) as var`` are
-    *not* returned: the context manager is its own cleanup guarantee.
-    """
-    out: list[ResourceUse] = []
-    for block in _statement_blocks(scope):
-        for index, stmt in enumerate(block):
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if isinstance(stmt.value, ast.Call) and is_constructor(stmt.value):
-                out.append(ResourceUse(target.id, stmt.value, stmt, block, index))
-    return out
-
-
-def _statement_blocks(scope: ast.AST) -> Iterator[list[ast.stmt]]:
-    """Every statement list in the scope (body, orelse, handlers, …),
-    without descending into nested function scopes."""
-    if isinstance(scope, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)):
-        yield scope.body
-        roots: list[ast.AST] = list(scope.body)
-    else:
-        roots = [scope]
-    stack = roots
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        for field in ("body", "orelse", "finalbody"):
-            block = getattr(node, field, None)
-            if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                yield block
-        if isinstance(node, ast.Try):
-            for handler in node.handlers:
-                yield handler.body
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _name_used(node: ast.AST, var: str) -> bool:
-    return any(
-        isinstance(n, ast.Name) and n.id == var for n in ast.walk(node)
-    )
-
-
-def _is_escape(stmt: ast.stmt, var: str) -> bool:
-    """Does this statement hand ``var`` off to longer-lived storage?
-
-    Escapes: ``return var``, ``self.x = var`` / ``d[k] = var`` (any
-    attribute/subscript target), and ``f(..., var, ...)`` (stored by the
-    callee — e.g. ``handles.append(var)`` or ``atexit.register(var)``).
-    """
-    if isinstance(stmt, ast.Return):
-        return stmt.value is not None and _name_used(stmt.value, var)
-    if isinstance(stmt, ast.Assign):
-        for target in stmt.targets:
-            for leaf in _flatten_targets(target):
-                if isinstance(leaf, (ast.Attribute, ast.Subscript)) and _name_used(
-                    stmt.value, var
-                ):
-                    return True
-        return False
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        call = stmt.value
-        args: list[ast.expr] = list(call.args) + [kw.value for kw in call.keywords]
-        return any(_name_used(a, var) for a in args)
-    return False
-
-
-def _calls_method(block: list[ast.stmt], var: str, method: str) -> bool:
-    for stmt in block:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == method
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == var
-            ):
-                return True
-    return False
-
-
-def cleanup_guarantee(use: ResourceUse, methods: tuple[str, ...]) -> bool:
-    """Is every exit path after this acquisition covered?
-
-    Accepted shapes, checked against the straight-line continuation of
-    the acquisition's own statement block:
-
-    * the next statement **escapes** the resource (stored/returned
-      before anything can raise — ownership transferred);
-    * the next statement is a ``try`` whose ``finally`` calls every
-      cleanup method on the resource;
-    * the next statement is a ``try`` with an ``except`` handler that
-      calls every cleanup method and re-raises (cleanup-on-failure,
-      with the success path escaping inside the ``try``).
-
-    Anything else — cleanup in straight-line code that an exception can
-    jump over, cleanup on only one branch, no cleanup at all — is *not*
-    a guarantee.
-    """
-    rest = use.block[use.index + 1 :]
-    if not rest:
-        return False
-    nxt = rest[0]
-    if _is_escape(nxt, use.var):
-        return True
-    if isinstance(nxt, ast.Try):
-        if all(_calls_method(nxt.finalbody, use.var, m) for m in methods):
-            return True
-        for handler in nxt.handlers:
-            if all(_calls_method(handler.body, use.var, m) for m in methods) and (
-                handler.body and isinstance(handler.body[-1], ast.Raise)
-            ):
-                return True
-    return False

@@ -16,14 +16,6 @@ the *seam* between modules:
     stdout writes, ``open``, ``Future.result()`` — may be reachable
     through the call graph from an ``async def`` in ``repro.serve``.
     One blocked event loop stalls every in-flight request.
-``shm-lifecycle``
-    Every ``SharedMemory`` create/attach must provably reach
-    ``close`` (+ ``unlink`` for creates) on all exit paths — escape to
-    longer-lived storage as the *immediately next* statement, a
-    ``try/finally``, or an ``except`` that cleans up and re-raises.
-    Plus the PR 7 discipline: ``resource_tracker.unregister`` only ever
-    under a ``tracker_pid`` ownership test, or a worker silently
-    unlinks segments its parent still serves.
 ``cache-invalidation``
     Any method of a :class:`~repro.core.fattree.FatTree` subclass that
     mutates effective-capacity state (``self._eff`` /
@@ -53,14 +45,7 @@ import ast
 from collections.abc import Iterator
 
 from .context import ModuleContext
-from .dataflow import (
-    assigned_resources,
-    attribute_writes,
-    cleanup_guarantee,
-    collect_str_constants,
-    parent_map,
-    walk_scope,
-)
+from .dataflow import attribute_writes, collect_str_constants, walk_scope
 from .findings import Finding
 from .project import ClassInfo, FunctionInfo, ProjectContext
 from .rules import _ENTRY_POINT_PREFIXES, _SCHEDULER_MODULES, _uses_name
@@ -333,89 +318,6 @@ class AsyncBlockingRule(ProjectRule):
             # asyncio.wrap_future is the non-blocking bridge
             return f"{ast.unparse(func)}()"
         return None
-
-
-# -- shm-lifecycle -----------------------------------------------------------
-
-_SHM_CTOR = "multiprocessing.shared_memory.SharedMemory"
-_TRACKER_UNREGISTER = "multiprocessing.resource_tracker.unregister"
-
-
-@register_project_rule
-class ShmLifecycleRule(ProjectRule):
-    id = "shm-lifecycle"
-    summary = (
-        "SharedMemory create/attach must reach close (+unlink for "
-        "creates) on all exits; resource_tracker.unregister only under "
-        "a tracker_pid ownership test"
-    )
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for qual in sorted(project.functions):
-            info = project.functions[qual]
-            ctx = info.ctx
-
-            def is_shm_ctor(call: ast.Call) -> bool:
-                return ctx.resolve_call(call) == _SHM_CTOR
-
-            for use in assigned_resources(info.node, is_shm_ctor):
-                created = any(
-                    kw.arg == "create"
-                    and isinstance(kw.value, ast.Constant)
-                    and kw.value.value is True
-                    for kw in use.call.keywords
-                )
-                methods = ("close", "unlink") if created else ("close",)
-                if not cleanup_guarantee(use, methods):
-                    kind = "created" if created else "attached"
-                    yield self.finding(
-                        ctx,
-                        use.call,
-                        f"SharedMemory segment {kind} as `{use.var}` has an "
-                        f"exit path that skips {' + '.join(methods)}: hand "
-                        f"the handle off in the very next statement, or "
-                        f"wrap the continuation in try/except that cleans "
-                        f"up and re-raises",
-                    )
-            yield from self._unguarded_unregisters(info)
-
-    def _unguarded_unregisters(self, info: FunctionInfo) -> Iterator[Finding]:
-        parents: dict[ast.AST, ast.AST] | None = None
-        for node in walk_scope(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            canonical = info.ctx.resolve_call(node)
-            is_unregister = canonical == _TRACKER_UNREGISTER or (
-                canonical is not None
-                and canonical.endswith("resource_tracker.unregister")
-            )
-            if not is_unregister:
-                continue
-            if parents is None:
-                parents = parent_map(info.node)
-            if not self._under_tracker_pid_test(node, parents):
-                yield self.finding(
-                    info.ctx,
-                    node,
-                    "resource_tracker.unregister outside a tracker_pid "
-                    "ownership test: a forked/spawned worker would unlink "
-                    "segments its parent still serves",
-                )
-
-    def _under_tracker_pid_test(
-        self, node: ast.AST, parents: dict[ast.AST, ast.AST]
-    ) -> bool:
-        cur = parents.get(node)
-        while cur is not None:
-            if isinstance(cur, ast.If) and any(
-                (isinstance(n, ast.Constant) and n.value == "tracker_pid")
-                or (isinstance(n, ast.Name) and n.id == "tracker_pid")
-                or (isinstance(n, ast.Attribute) and n.attr == "tracker_pid")
-                for n in ast.walk(cur.test)
-            ):
-                return True
-            cur = parents.get(cur)
-        return False
 
 
 # -- cache-invalidation ------------------------------------------------------

@@ -5,19 +5,13 @@ themselves live next to the algorithms they accelerate
 (:mod:`repro.core.online`, :mod:`repro.core.greedy`), each keeping its
 pure-Python predecessor as a ``_reference_*`` oracle that the property
 tests hold the kernels bit-identical to.  Tier-2 entry points live
-here: :func:`first_fit_assign` (the wave/scan first-fit engine),
+here: :func:`first_fit_assign` (the wave/scan first-fit engine) and
 :func:`batch_schedule` (B message sets against one tree in a single
-pass), and :mod:`repro.perf.shm` (shared-memory indexes for
-multi-process sweeps).
+pass).
 """
 
 from .batch import batch_schedule
 from .firstfit import first_fit_assign
-from .shm import (
-    SharedPathIndexArena,
-    install_shared_indexes,
-    shared_index_lookup,
-)
 from .pathindex import (
     PAD_GID,
     PathIndex,
@@ -33,16 +27,13 @@ from .pathindex import (
 __all__ = [
     "PAD_GID",
     "PathIndex",
-    "SharedPathIndexArena",
     "batch_schedule",
     "clear_path_index_cache",
     "first_fit_assign",
     "fold_capacity_fingerprint",
     "get_path_index",
     "index_cache_key",
-    "install_shared_indexes",
     "invalidate_capacity_fingerprint",
     "pack_gid",
-    "shared_index_lookup",
     "unpack_gid",
 ]

@@ -308,10 +308,9 @@ def index_cache_key(ft: FatTree, messages: MessageSet) -> bytes:
     """The cache key of the ``(ft, messages)`` pair: message digest +
     capacity fingerprint.
 
-    This is the key :func:`get_path_index` stores under, and the key
-    :mod:`repro.perf.shm` publishes shared segments under — two
-    processes that compute the same key are guaranteed to agree on both
-    the message multiset (exact array digest) and every per-channel
+    This is the key :func:`get_path_index` stores under: two lookups
+    that compute the same key are guaranteed to agree on both the
+    message multiset (exact array digest) and every per-channel
     effective capacity.  Note that a tree whose fingerprint was advanced
     by tracked mutations (:func:`fold_capacity_fingerprint`) carries a
     *chained* digest: an equivalent tree rebuilt from scratch hashes
@@ -319,24 +318,6 @@ def index_cache_key(ft: FatTree, messages: MessageSet) -> bytes:
     hit.
     """
     return _digest(messages) + _capacity_fingerprint(ft)
-
-
-def _shared_lookup(key: bytes) -> PathIndex | None:
-    """A shared-memory index published under ``key``, if any.
-
-    The registry lives in :mod:`repro.perf.shm` and is only ever
-    populated by :func:`repro.perf.shm.install_shared_indexes` (worker
-    processes of a ``share_paths`` sweep).  Resolving through
-    ``sys.modules`` keeps the probe free for every process that never
-    attached a segment — no import, no registry, no lookup.
-    """
-    import sys
-
-    shm_mod = sys.modules.get("repro.perf.shm")
-    if shm_mod is None:
-        return None
-    index: PathIndex | None = shm_mod.shared_index_lookup(key)
-    return index
 
 
 def get_path_index(
@@ -353,15 +334,9 @@ def get_path_index(
     :class:`~repro.faults.DegradedFatTree`) can never be served stale
     paths or capacity vectors.
 
-    In a worker process that attached shared-memory segments
-    (:func:`repro.perf.shm.install_shared_indexes`), a miss first
-    consults the shared registry before building from scratch — the
-    matrix backing a registry hit is the parent's segment, mapped
-    read-only, not a copy.
-
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) receives a ``pathindex.cache``
-    hit/miss/shared counter and a ``cache`` trace event per lookup.
+    hit/miss counter and a ``cache`` trace event per lookup.
     """
     obs = resolve_obs(obs)
     cache: OrderedDict[bytes, PathIndex] | None = getattr(ft, _CACHE_ATTR, None)
@@ -371,10 +346,8 @@ def get_path_index(
     key = index_cache_key(ft, messages)
     index = cache.get(key)
     if index is None:
-        index = _shared_lookup(key)
-        result = "shared" if index is not None else "miss"
-        if index is None:
-            index = PathIndex(ft, messages)
+        result = "miss"
+        index = PathIndex(ft, messages)
         # Evict *before* inserting: evicting afterwards let the cache
         # transiently hold _CACHE_MAXSIZE + 1 indexes — one full extra
         # path matrix pinned at exactly the moment memory peaks.

@@ -12,9 +12,9 @@ is that service, assembled entirely from the layers beneath it:
   :func:`repro.perf.batch.batch_schedule` calls;
 * :mod:`repro.serve.shards` — the persistent ProcessPool of shard
   workers: each dispatch pickles the tenant tree (cache-free since
-  ``FatTree.__getstate__``), attaches the shared-memory
-  :class:`~repro.perf.PathIndex` arena, re-seeds global RNGs per batch
-  with the sweep discipline, and ships a metrics registry back;
+  ``FatTree.__getstate__``), re-seeds global RNGs per batch with the
+  sweep discipline, and ships a metrics registry back; a pool broken by
+  a dead worker is replaced on the next dispatch;
 * :mod:`repro.serve.daemon` — the asyncio front-end tying it together
   over stdin/stdout or a TCP socket, with per-tenant
   :class:`~repro.faults.DegradedFatTree` fault domains and a

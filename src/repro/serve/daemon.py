@@ -15,10 +15,9 @@ pristine :class:`~repro.core.FatTree` or a
 shard pool but nothing else; one tenant's unroutable traffic surfaces
 as ``422`` refusals on its own requests only.
 
-Shutdown discipline: :meth:`ServeEngine.close` drains the pool and
-unlinks every published shared-memory segment, and the CLI wraps the
-event loop so SIGINT exits 130 with the arena cleaned up — a daemon
-killed at its terminal must not leak ``/dev/shm`` names.
+Shutdown discipline: :meth:`ServeEngine.close` cancels pending flush
+timers and drains the pool, and the CLI wraps the event loop so SIGINT
+exits 130 with the shard workers shut down.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from ..core.message import MessageSet
-    from ..perf.shm import SharedPathIndexArena
 
 from ..core.fattree import FatTree
 from ..core.load import load_factor
@@ -72,10 +70,7 @@ class ServeConfig:
     request.  ``batch_window_s`` bounds the extra latency coalescing may
     add: the first request of a compat group arms a timer and the group
     ships when it fills (``max_batch``) or the timer fires, whichever
-    is first.  ``warm_sets`` > 0 publishes that many seeded
-    uniform-random message-set indexes per tenant into a shared-memory
-    arena at startup, so shard workers serving those exact sets attach
-    the parent's matrix instead of rebuilding.
+    is first.
     """
 
     n: int = 256
@@ -85,9 +80,6 @@ class ServeConfig:
     max_pending: int = 1024
     max_batch: int = 32
     batch_window_s: float = 0.005
-    warm_sets: int = 0
-    warm_messages: int = 256
-    warm_seed: int = 0
 
 
 class ServeEngine:
@@ -123,41 +115,9 @@ class ServeEngine:
         )
         self.batcher = RequestBatcher(max_batch=cfg.max_batch)
         self.metrics = MetricsRegistry(enabled=True)
-        self._arena: SharedPathIndexArena | None = None
-        specs: list[dict] = []
-        if cfg.warm_sets and cfg.shards:
-            specs = self._publish_warm_sets()
-        try:
-            self.pool = ShardPool(cfg.shards, shared_specs=specs)
-        except BaseException:
-            # a pool that failed to start must not orphan the published
-            # /dev/shm names — nobody else will ever unlink them
-            if self._arena is not None:
-                self._arena.close()
-            raise
+        self.pool = ShardPool(cfg.shards)
         self._flush_timers: dict[tuple, asyncio.Task] = {}
         self._closed = False
-
-    def _publish_warm_sets(self) -> list[dict]:
-        """Publish seeded warm indexes for every tenant into shared memory.
-
-        The fingerprint of each tenant tree is invalidated first so the
-        published keys use the *fresh* capacity hash — the same hash a
-        worker computes on the unpickled (cache-free) tree — rather
-        than a mutation-chained digest only this process knows.
-        """
-        from ..perf.pathindex import invalidate_capacity_fingerprint
-        from ..perf.shm import SharedPathIndexArena
-        from ..workloads import uniform_random
-
-        cfg = self.config
-        self._arena = SharedPathIndexArena()
-        for tree in self.tenants.values():
-            invalidate_capacity_fingerprint(tree)
-            for k in range(cfg.warm_sets):
-                ms = uniform_random(cfg.n, cfg.warm_messages, seed=cfg.warm_seed + k)
-                self._arena.publish(tree, ms)
-        return self._arena.specs
 
     # -- request handling --------------------------------------------------
 
@@ -321,7 +281,7 @@ class ServeEngine:
         return render_metrics_text(self.metrics)
 
     def close(self) -> None:
-        """Drain the pool and unlink the arena (idempotent)."""
+        """Cancel pending flush timers and drain the pool (idempotent)."""
         if self._closed:
             return
         self._closed = True
@@ -329,8 +289,6 @@ class ServeEngine:
             timer.cancel()
         self._flush_timers.clear()
         self.pool.close()
-        if self._arena is not None:
-            self._arena.close()
 
     def __enter__(self) -> "ServeEngine":
         return self

@@ -4,14 +4,11 @@ A *shard* is a worker process that owns nothing: every dispatch carries
 the tenant tree (pickled cache-free thanks to
 ``FatTree.__getstate__`` — the payload is a few hundred bytes, not a
 warm multi-MB path-index LRU) plus the raw endpoint arrays of each
-coalesced request.  Workers attach the parent's shared-memory
-:class:`~repro.perf.PathIndex` arena once at pool start
-(:func:`~repro.perf.shm.install_shared_indexes`), so the common warm
-sets cost a registry probe instead of a rebuild, and re-seed the global
-RNGs from the batch's declared seed before every task — the same
-discipline :func:`repro.analysis.sweep.sweep` workers follow, keeping
-every result a pure function of its payload regardless of which shard
-ran it or what ran there before.
+coalesced request.  Workers re-seed the global RNGs from the batch's
+declared seed before every task — the same discipline
+:func:`repro.analysis.sweep.sweep` workers follow, keeping every result
+a pure function of its payload regardless of which shard ran it or what
+ran there before.
 
 Failure isolation is per *set*, not per batch:
 :func:`run_shard_batch` first tries the single 3-D
@@ -21,11 +18,19 @@ to solo per-set calls — bit-identical to the batch kernels by the PR 7
 parity contract — so one tenant's severed traffic degrades into a
 ``422`` refusal for that request alone, never an error for the
 neighbours coalesced with it.
+
+A worker that dies outright (a crash, the OOM killer) breaks the whole
+executor: the dispatch it was running fails with ``BrokenProcessPool``
+and the daemon answers that group with a ``500``.  The next
+:meth:`ShardPool.submit` finds the executor broken, replaces it with a
+fresh one and resubmits, so one dead worker costs one failed dispatch,
+not every later one.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -123,14 +128,6 @@ def run_shard_batch(
     return [_ok_result(s, detail) for s in schedules]
 
 
-def _pool_init(specs: list[dict]) -> None:
-    """ProcessPool initializer: attach the parent's shared arena once."""
-    if specs:
-        from ..perf.shm import install_shared_indexes
-
-        install_shared_indexes(specs)
-
-
 def _pool_call(payload: dict) -> dict:
     """Top-level shard task: rebuild sets, re-seed, schedule, snapshot.
 
@@ -170,29 +167,31 @@ class ShardPool:
     process — no pickling, no pool — which is what the deterministic
     unit tests and the admission-control paths use.  With ``shards>=1``
     a :class:`~concurrent.futures.ProcessPoolExecutor` holds the
-    workers alive across dispatches, so trees and arena attachments are
-    paid once, not per request.
+    workers alive across dispatches, so worker start-up is paid once,
+    not per request; a broken executor is replaced on the next submit.
     """
 
-    def __init__(
-        self, shards: int, *, shared_specs: list[dict] | None = None
-    ) -> None:
+    def __init__(self, shards: int) -> None:
         if shards < 0:
             raise ValueError(f"shards must be >= 0, got {shards}")
         self.shards = int(shards)
-        self._specs = list(shared_specs or [])
         self._pool: ProcessPoolExecutor | None = None
         if self.shards:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.shards,
-                initializer=_pool_init,
-                initargs=(self._specs,),
-            )
+            self._pool = ProcessPoolExecutor(max_workers=self.shards)
 
     def submit(self, payload: dict) -> "Future[dict]":
         """Dispatch one batch payload; returns a future of the result."""
         if self._pool is not None:
-            return self._pool.submit(_pool_call, payload)
+            try:
+                return self._pool.submit(_pool_call, payload)
+            except BrokenProcessPool:
+                # a worker died under an earlier dispatch, which already
+                # failed with this error; its executor takes no more
+                # work, so swap in a fresh one (a new pool cannot be
+                # broken before it runs a task, so one respawn suffices)
+                self._pool.shutdown(wait=False, cancel_futures=True)
+                self._pool = ProcessPoolExecutor(max_workers=self.shards)
+                return self._pool.submit(_pool_call, payload)
         inline: Future[dict] = Future()
         try:
             inline.set_result(_pool_call(payload))

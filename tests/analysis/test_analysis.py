@@ -1,6 +1,8 @@
 """Tests for the analysis helpers (bounds, fits, sweeps, tables)."""
 
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -98,6 +100,11 @@ def _mark_and_sleep(tag, outdir, fail):
     return {"tag": tag}
 
 
+def _crash_run(n):
+    """Kills its pool worker outright, as a segfault or OOM kill would."""
+    os._exit(1)
+
+
 def _global_rng_draw(seed, n):
     """Deliberately draws from the *global* RNGs.
 
@@ -170,6 +177,21 @@ class TestSweepAndTables:
         # all 15 survivors at 0.3 s each on 2 workers would take > 2 s
         assert started < total
         assert elapsed < 2.0
+
+    def test_parallel_worker_crash_captured(self):
+        """A worker dying hard breaks the pool; ``on_error="capture"``
+        turns every unfinished run into an error row instead of
+        propagating ``BrokenProcessPool``."""
+        params = [{"n": i} for i in range(6)]
+        rows = sweep(_crash_run, params, n_jobs=2, on_error="capture")
+        assert len(rows) == len(params)
+        assert all("error" in row for row in rows)
+        assert all(row["error"].startswith("BrokenProcessPool") for row in rows)
+
+    def test_parallel_worker_crash_raises(self):
+        params = [{"n": i} for i in range(6)]
+        with pytest.raises(BrokenProcessPool):
+            sweep(_crash_run, params, n_jobs=2, on_error="raise")
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):

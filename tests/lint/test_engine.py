@@ -101,13 +101,12 @@ class TestRuleSelection:
             "schedule-hygiene",
         ]
 
-    def test_registry_has_the_five_project_rules(self):
+    def test_registry_has_the_four_project_rules(self):
         assert all_project_rule_ids() == sorted(PROJECT_RULES) == [
             "async-blocking",
             "cache-invalidation",
             "obs-rng-flow",
             "pickle-boundary",
-            "shm-lifecycle",
         ]
         # the two registries never share an id: suppression comments and
         # --rule selection would become ambiguous

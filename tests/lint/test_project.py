@@ -134,42 +134,6 @@ class TestDemonstratedCatch:
         assert "time.sleep" in by_line[line_of(daemon, "time.sleep(0.5)")]
         assert "_lint_probe" in by_line[line_of(daemon, "time.sleep(0.5)")]
 
-    def test_shm_lifecycle_catches_leaks_and_unguarded_unregister(
-        self, tmp_path
-    ):
-        # Two PR 7 disciplines: attach must reach close on every exit,
-        # and unregister only ever runs under a tracker_pid ownership
-        # test.
-        root = copy_tree(tmp_path)
-        shm = root / "repro" / "perf" / "shm.py"
-        shm.write_text(
-            shm.read_text()
-            + "\n\ndef _lint_probe_attach(name):\n"
-            "    seg = shared_memory.SharedMemory(name=name)\n"
-            "    value = int(seg.buf[0])\n"
-            "    seg.close()\n"
-            "    return value\n"
-            "\n\ndef _lint_probe_unregister(name):\n"
-            "    resource_tracker.unregister(name, 'shared_memory')\n"
-        )
-        result = project_lint(root, "shm-lifecycle")
-        assert result.exit_code == 3
-        assert locations(result) == {
-            (
-                "shm-lifecycle",
-                "shm.py",
-                line_of(shm, "seg = shared_memory.SharedMemory(name=name)"),
-            ),
-            (
-                "shm-lifecycle",
-                "shm.py",
-                line_of(shm, "resource_tracker.unregister(name,"),
-            ),
-        }
-        messages = sorted(f.message for f in result.findings)
-        assert any("skips close" in m for m in messages)
-        assert any("tracker_pid" in m for m in messages)
-
     def test_obs_rng_flow_catches_dead_knob_entropy_and_missing_obs(
         self, tmp_path
     ):
@@ -226,7 +190,7 @@ class TestProjectSuppression:
             + "\n\nasync def _lint_probe(fut) -> None:\n"
             "    import time\n\n"
             "    time.sleep(0.5)  # reprolint: ignore[async-blocking]\n"
-            "    fut.result()  # reprolint: ignore[shm-lifecycle]\n"
+            "    fut.result()  # reprolint: ignore[pickle-boundary]\n"
         )
         result = project_lint(root, "async-blocking")
         # the sleep is suppressed by the right rule id; the result() call

@@ -42,10 +42,7 @@ class TestServeStdin:
             for i in range(50)
         ]
         lines.append('{"op": "metrics", "id": "m"}')
-        proc = run_serve(
-            lines, "--n", "16", "--shards", "2",
-            "--warm-sets", "1", "--warm-messages", "32",
-        )
+        proc = run_serve(lines, "--n", "16", "--shards", "2")
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         responses = [json.loads(line) for line in proc.stdout.splitlines()]

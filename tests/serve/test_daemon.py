@@ -10,6 +10,7 @@ sharding, pickling and tenancy must all be invisible to results.
 
 import asyncio
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from repro.faults import DegradedFatTree, FaultModel
 from repro.serve import ServeConfig, ServeEngine
 from repro.serve.protocol import (
     CODE_BAD_REQUEST,
+    CODE_INTERNAL,
     CODE_OVERLOADED,
     CODE_QUEUE_FULL,
     CODE_UNROUTABLE,
@@ -161,6 +163,40 @@ class TestEndToEnd:
         assert "serve_requests" in text
         assert "pathindex_cache" in text
         assert "serve_latency_seconds_count" in text
+
+
+class _WorkerKillingTree(FatTree):
+    """Routes like a FatTree here; unpickling it kills the shard worker."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
+
+
+class TestWorkerDeath:
+    def test_daemon_outlives_a_dead_worker(self):
+        """The dispatch whose worker died answers 500; the daemon then
+        serves the next request on a fresh pool instead of failing it."""
+        cfg = ServeConfig(n=N, shards=1, batch_window_s=0.001)
+        engine = ServeEngine(cfg, tenants={"poison": _WorkerKillingTree(N)})
+        ms = routable_set(3)
+
+        async def drive():
+            dead = await engine.submit(
+                as_request(0, ms, tenant="poison", kernel="greedy")
+            )
+            alive = await engine.submit(
+                as_request(1, ms, tenant="default", kernel="greedy")
+            )
+            return dead, alive
+
+        try:
+            dead, alive = run(drive())
+        finally:
+            engine.close()
+        assert dead["ok"] is False and dead["code"] == CODE_INTERNAL
+        assert alive["ok"] is True
+        got = [[tuple(p) for p in cycle] for cycle in alive["cycles"]]
+        assert got == solo_cycles(FatTree(N), ms, "greedy", 0)
 
 
 class TestBackpressure:

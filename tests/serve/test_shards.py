@@ -1,5 +1,8 @@
 """Shard-worker tests: batch parity, per-set failure isolation, pool modes."""
 
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,13 @@ from repro.perf.batch import batch_schedule
 from repro.serve.protocol import CODE_UNROUTABLE
 from repro.serve.shards import ShardPool, _pool_call, run_shard_batch
 from repro.workloads import uniform_random
+
+
+class _KillsWorker:
+    """Unpickling this in a shard worker kills the worker outright."""
+
+    def __reduce__(self):
+        return (os._exit, (3,))
 
 
 def sets_for(n, count, m, seed0=0):
@@ -145,6 +155,20 @@ class TestShardPool:
         with ShardPool(1) as pool:
             remote = pool.submit(dict(payload)).result(timeout=120)
         assert inline["results"] == remote["results"]
+
+    def test_pool_survives_a_dead_worker(self):
+        """A worker crash fails its own dispatch only: the next submit
+        replaces the broken executor instead of raising
+        ``BrokenProcessPool`` for every later dispatch."""
+        ft = FatTree(16)
+        good = TestPoolCall().payload(ft, sets_for(16, 1, 8))
+        with ShardPool(1) as pool:
+            crashed = pool.submit(dict(good, tree=_KillsWorker()))
+            with pytest.raises(BrokenProcessPool):
+                crashed.result(timeout=120)
+            for _ in range(2):
+                out = pool.submit(dict(good)).result(timeout=120)
+                assert out["results"][0]["ok"] is True
 
     def test_negative_shards_rejected(self):
         with pytest.raises(ValueError):

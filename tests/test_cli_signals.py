@@ -101,7 +101,7 @@ class TestServeSignals:
         before = set(glob.glob("/dev/shm/repro_pi_*"))
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--n", "16",
-             "--shards", "2", "--warm-sets", "1", "--warm-messages", "32"],
+             "--shards", "2"],
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -109,8 +109,8 @@ class TestServeSignals:
             cwd=REPO,
             text=True,
         )
-        # one served request proves the daemon is fully up (pool, arena,
-        # loop) before we interrupt it
+        # one served request proves the daemon is fully up (pool, loop)
+        # before we interrupt it
         proc.stdin.write('{"id": "warm", "src": [0], "dst": [1]}\n')
         proc.stdin.flush()
         first = proc.stdout.readline()
