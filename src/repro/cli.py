@@ -459,35 +459,22 @@ def cmd_trace(args) -> int:
 def cmd_lint(args) -> int:
     from .lint import (
         lint_paths,
-        load_baseline,
         render_github,
         render_json,
         render_rule_table,
         render_text,
-        write_baseline,
     )
 
     if args.list_rules:
         print(render_rule_table())
         return 0
     try:
-        baseline = load_baseline(args.baseline) if args.baseline else None
         result = lint_paths(
-            args.paths,
-            rule_ids=args.rule or None,
-            project=args.project,
-            baseline=baseline,
+            args.paths, rule_ids=args.rule or None, project=args.project
         )
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.write_baseline:
-        written = write_baseline(args.write_baseline, result.findings)
-        print(
-            f"wrote {len(written)} baseline entr(y/ies) to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
     render = {
         "json": render_json,
         "github": render_github,
@@ -1021,16 +1008,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also run the whole-program rules (call graph over every "
         "package module: pickle-boundary, async-blocking, "
         "cache-invalidation, obs-rng-flow)",
-    )
-    p.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="subtract grandfathered findings recorded in FILE",
-    )
-    p.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="snapshot the (post-baseline) findings to FILE and continue",
     )
     p.add_argument(
         "--list-rules",

@@ -21,8 +21,8 @@ Two tiers:
   :class:`~repro.lint.project.ProjectContext` — an import-resolved
   call graph plus light dataflow — and check cross-module invariants:
   pickle/ProcessPool boundaries, event-loop blocking,
-  capacity-fingerprint invalidation, and interprocedural obs/RNG
-  threading.
+  capacity-fingerprint invalidation, and ``obs=`` threading along
+  the call graph to :func:`repro.obs.resolve_obs`.
 
 Usage::
 
@@ -41,7 +41,6 @@ automatically.
 
 from __future__ import annotations
 
-from .baseline import Baseline, load_baseline, write_baseline
 from .context import ModuleContext, infer_module_name
 from .engine import LintResult, iter_python_files, lint_file, lint_paths, lint_source
 from .findings import Finding, ParseFailure
@@ -57,7 +56,6 @@ from .rules_project import (
 from .suppress import SUPPRESS_ALL, SuppressionIndex, scan_suppressions
 
 __all__ = [
-    "Baseline",
     "ClassInfo",
     "Finding",
     "FunctionInfo",
@@ -78,8 +76,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "load_baseline",
-    "write_baseline",
     "render_text",
     "render_json",
     "render_github",

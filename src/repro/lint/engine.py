@@ -12,9 +12,7 @@ rules, every successfully parsed package module feeds one
 :class:`~repro.lint.project.ProjectContext` and the whole-program
 rules from :data:`~repro.lint.rules_project.PROJECT_RULES` run over
 it.  Project findings honour the same per-file suppression comments,
-and an optional :class:`~repro.lint.baseline.Baseline` subtracts
-grandfathered findings (counted in ``result.baselined``, never
-failing the run).
+which are the one way to accept a finding.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import os
 import tokenize
 from dataclasses import dataclass, field
 
-from .baseline import Baseline
 from .context import ModuleContext, infer_module_name
 from .findings import Finding, ParseFailure
 from .rules import RULES, Rule
@@ -53,14 +50,12 @@ class LintResult:
     parse_failures: list[ParseFailure] = field(default_factory=list)
     files_checked: int = 0
     suppressed: int = 0
-    baselined: int = 0
 
     def merge(self, other: "LintResult") -> None:
         self.findings.extend(other.findings)
         self.parse_failures.extend(other.parse_failures)
         self.files_checked += other.files_checked
         self.suppressed += other.suppressed
-        self.baselined += other.baselined
 
     def sort(self) -> None:
         self.findings.sort(key=Finding.sort_key)
@@ -186,7 +181,6 @@ def lint_paths(
     *,
     rule_ids: list[str] | None = None,
     project: bool = False,
-    baseline: Baseline | None = None,
 ) -> LintResult:
     """Lint every ``.py`` file under the given files/directories.
 
@@ -194,8 +188,7 @@ def lint_paths(
     successfully parsed file, builds one
     :class:`~repro.lint.project.ProjectContext` over the package
     modules, and runs the whole-program rules; their findings honour
-    each file's own suppression comments.  ``baseline`` subtracts
-    grandfathered findings from the final list.
+    each file's own suppression comments.
     """
     module_rules, project_rules = _select_rules(rule_ids, project=project)
     module_rule_ids = [r.id for r in module_rules] if rule_ids else None
@@ -232,13 +225,5 @@ def lint_paths(
                     result.suppressed += 1
                 else:
                     result.findings.append(finding)
-    if baseline is not None and len(baseline):
-        kept = []
-        for finding in result.findings:
-            if finding in baseline:
-                result.baselined += 1
-            else:
-                kept.append(finding)
-        result.findings = kept
     result.sort()
     return result

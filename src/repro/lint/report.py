@@ -5,8 +5,8 @@ Three formats, selected by ``repro lint --format``:
 * ``text`` — one ``path:line:col: rule-id: message`` line per finding
   (editor-clickable), parse failures first, then a summary line;
 * ``json`` — a single stable JSON object (``version``, ``files``,
-  ``findings``, ``parse_failures``, ``suppressed``, ``baselined``) for
-  the CI job and any downstream tooling;
+  ``findings``, ``parse_failures``, ``suppressed``) for the CI job and
+  any downstream tooling;
 * ``github`` — GitHub Actions workflow commands (``::error file=…``),
   one per finding, so the CI lint job annotates the offending lines
   inline on pull requests.
@@ -35,7 +35,6 @@ def render_text(result: LintResult) -> str:
         f"{len(result.findings)} finding(s), "
         f"{len(result.parse_failures)} parse failure(s), "
         f"{result.suppressed} suppressed, "
-        f"{result.baselined} baselined, "
         f"{result.files_checked} file(s) checked"
     )
     lines.append(summary)
@@ -49,7 +48,6 @@ def render_json(result: LintResult) -> str:
         "version": 1,
         "files": result.files_checked,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "findings": [f.as_dict() for f in result.findings],
         "parse_failures": [p.as_dict() for p in result.parse_failures],
     }
@@ -100,7 +98,7 @@ def render_github(result: LintResult) -> str:
         f"::notice title={_escape_property('repro-lint summary')}::"
         f"{len(result.findings)} finding(s), "
         f"{len(result.parse_failures)} parse failure(s), "
-        f"{result.suppressed} suppressed, {result.baselined} baselined, "
+        f"{result.suppressed} suppressed, "
         f"{result.files_checked} file(s) checked"
     )
     return "\n".join(lines)

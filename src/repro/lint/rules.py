@@ -8,7 +8,9 @@ here they are machine-checked before a bug can ship:
     No module-level RNG state anywhere in ``repro``: drawing from
     ``np.random.<fn>`` or stdlib ``random.<fn>`` silently couples runs,
     breaking the fuzzer's RNG-neutrality cross-checks and every seeded
-    bit-parity claim.  RNG must flow in as a ``Generator`` or seed.
+    bit-parity claim.  RNG must flow in as a ``Generator`` or seed, and
+    a zero-argument ``default_rng()`` / ``random.Random()`` (seeded
+    from OS entropy) is a finding too.
 ``dtype-contract``
     Array constructors must pass ``dtype=`` explicitly: a silent upcast
     (or platform-dependent default int) breaks the int64 packed-gid
@@ -20,11 +22,6 @@ here they are machine-checked before a bug can ship:
     pattern — callers and the suite-wide conftest net validate) or be
     validated in the same function.  The static twin of the PR-4 autouse
     validation net.
-``obs-threading``
-    Public scheduler entry points (``schedule_*`` / ``simulate_*`` /
-    ``run_*`` in the scheduler modules) must accept **and** forward an
-    ``obs=`` parameter, so observability can never silently skip a
-    stack.
 ``nondeterminism-ban``
     No wall-clock or OS-entropy reads in kernel/scheduler modules:
     ``time.time``, ``datetime.now``, ``os.urandom`` and friends make
@@ -36,13 +33,10 @@ here they are machine-checked before a bug can ship:
     naming ``_reference_<itself>`` in its docstring) must still have
     that oracle defined — renames and deletions cannot silently orphan
     either half of a property-tested pair.
-``mutable-default``
-    No mutable default arguments (list/dict/set literals or
-    constructors) — shared state across calls is a nondeterminism bug
-    by another name.
-``bare-except``
-    No bare ``except:`` — it swallows ``KeyboardInterrupt`` and masks
-    conformance failures; catch the structured routing errors instead.
+
+Mutable defaults and bare ``except:`` are ruff's B006 and E722, which CI
+runs over the same paths; ``obs=`` threading is the ``--project`` rule
+``obs-rng-flow``, because its scope comes from the call graph.
 
 Rules self-register in :data:`RULES` at import time; ``repro lint
 --list-rules`` prints this table.
@@ -131,13 +125,17 @@ _NP_RANDOM_ALLOWED = {
 #: stdlib ``random`` attributes that are instance constructors, not draws
 _STDLIB_RANDOM_ALLOWED = {"Random"}
 
+#: constructors whose zero-argument form seeds from OS entropy
+_ENTROPY_CTORS = {"numpy.random.default_rng", "random.Random"}
+
 
 @register_rule
 class RngDisciplineRule(Rule):
     id = "rng-discipline"
     summary = (
-        "no module-level RNG draws (np.random.<fn> / random.<fn>): "
-        "RNG must flow in as a Generator or seed parameter"
+        "no module-level RNG draws (np.random.<fn> / random.<fn>) and no "
+        "unseeded default_rng()/random.Random(): RNG must flow in as a "
+        "Generator or seed parameter"
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -145,7 +143,16 @@ class RngDisciplineRule(Rule):
             name = ctx.resolve_call(call)
             if name is None:
                 continue
-            if name.startswith("numpy.random."):
+            if name in _ENTROPY_CTORS:
+                # checked before the allow-lists, which admit seeded forms
+                if not call.args and not call.keywords:
+                    yield self.finding(
+                        ctx,
+                        call,
+                        f"{name}() with no seed draws OS entropy; pass an "
+                        "explicit seed or thread a Generator in",
+                    )
+            elif name.startswith("numpy.random."):
                 attr = name.split(".", 2)[2]
                 if "." not in attr and attr not in _NP_RANDOM_ALLOWED:
                     yield self.finding(
@@ -281,72 +288,6 @@ def _walk_scope(scope: ast.AST) -> Iterator[ast.AST]:
             stack.append(child)
 
 
-# -- obs-threading -----------------------------------------------------------
-
-#: modules whose public entry points must thread observability through
-_SCHEDULER_MODULES = {
-    "repro.core.scheduler",
-    "repro.core.online",
-    "repro.core.greedy",
-    "repro.core.reuse_scheduler",
-    "repro.hardware.switchsim",
-    "repro.hardware.buffered",
-    "repro.chaos.engine",
-    "repro.perf.batch",
-    "repro.serve.shards",
-}
-
-_ENTRY_POINT_PREFIXES = ("schedule_", "simulate_", "run_", "batch_")
-
-
-@register_rule
-class ObsThreadingRule(Rule):
-    id = "obs-threading"
-    summary = (
-        "public scheduler entry points (schedule_*/simulate_*/run_*) "
-        "must accept and forward obs="
-    )
-
-    def applies(self, module: str | None) -> bool:
-        return module in _SCHEDULER_MODULES
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for name, fn in ctx.module_level_defs().items():
-            if name.startswith("_") or not name.startswith(_ENTRY_POINT_PREFIXES):
-                continue
-            params = {a.arg for a in fn.args.args} | {
-                a.arg for a in fn.args.kwonlyargs
-            }
-            if "obs" not in params:
-                yield self.finding(
-                    ctx,
-                    fn,
-                    f"public entry point {name}() does not accept obs=; "
-                    "observability cannot be threaded through this stack",
-                )
-                continue
-            if not _uses_name(fn, "obs"):
-                yield self.finding(
-                    ctx,
-                    fn,
-                    f"{name}() accepts obs= but never forwards it "
-                    "(resolve_obs(obs) or pass obs= downstream)",
-                )
-
-
-def _uses_name(fn: ast.FunctionDef | ast.AsyncFunctionDef, target: str) -> bool:
-    for node in _walk_scope(fn):
-        if isinstance(node, ast.Name) and node.id == target and isinstance(
-            node.ctx, ast.Load
-        ):
-            return True
-        if isinstance(node, ast.Call) and any(
-            kw.arg == target for kw in node.keywords
-        ):
-            return True
-    return False
-
-
 # -- nondeterminism-ban ------------------------------------------------------
 
 _NONDETERMINISTIC_CALLS = {
@@ -443,60 +384,3 @@ class KernelOraclePairingRule(Rule):
                         "in its docstring but that oracle is not defined in "
                         "this module",
                     )
-
-
-# -- mutable-default ---------------------------------------------------------
-
-_MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray"}
-
-
-@register_rule
-class MutableDefaultRule(Rule):
-    id = "mutable-default"
-    summary = "no mutable default arguments (list/dict/set literals or calls)"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if _is_mutable_literal(default):
-                    yield self.finding(
-                        ctx,
-                        default,
-                        f"mutable default argument in {node.name}(); "
-                        "default to None and construct inside the function",
-                    )
-
-
-def _is_mutable_literal(node: ast.expr) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    return (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in _MUTABLE_CONSTRUCTORS
-    )
-
-
-# -- bare-except -------------------------------------------------------------
-
-
-@register_rule
-class BareExceptRule(Rule):
-    id = "bare-except"
-    summary = "no bare except: clauses (they swallow KeyboardInterrupt)"
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ExceptHandler) and node.type is None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    "bare except: catches KeyboardInterrupt/SystemExit and "
-                    "masks conformance failures; name the exception types",
-                )

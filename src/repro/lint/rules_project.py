@@ -24,13 +24,13 @@ the *seam* between modules:
     / ``clear_path_index_cache``) or the path-index cache serves routes
     for capacities that no longer exist — the PR 6 bug.
 ``obs-rng-flow``
-    The interprocedural successor to tier-1 ``obs-threading`` and
-    ``rng-discipline``: public entry points are discovered by walking
-    the call graph to :func:`repro.obs.resolve_obs` instead of a
-    hard-coded module list, zero-argument ``default_rng()`` /
-    ``random.Random()`` (OS-entropy seeding) are banned everywhere, and
-    a ``seed=``/``rng=`` parameter that is accepted but never read is a
-    finding (dead knob, silently unreproducible).
+    Public entry points (``schedule_*`` / ``simulate_*`` / ``run_*`` /
+    ``batch_*``) on the observability path must accept **and** forward
+    ``obs=``.  The path is derived, not listed: an entry point is on it
+    when its module calls :func:`repro.obs.resolve_obs` or its call
+    graph reaches it.  A ``seed=``/``rng=`` parameter that is accepted
+    but never read is a finding too (dead knob, silently
+    unreproducible).
 
 Rules self-register in :data:`PROJECT_RULES`; they run only under
 ``repro lint --project``, which builds the :class:`ProjectContext` the
@@ -48,7 +48,7 @@ from .context import ModuleContext
 from .dataflow import attribute_writes, collect_str_constants, walk_scope
 from .findings import Finding
 from .project import ClassInfo, FunctionInfo, ProjectContext
-from .rules import _ENTRY_POINT_PREFIXES, _SCHEDULER_MODULES, _uses_name
+from .rules import Rule, _walk_scope
 
 __all__ = [
     "ProjectRule",
@@ -58,28 +58,18 @@ __all__ = [
 ]
 
 
-class ProjectRule:
+class ProjectRule(Rule):
     """Base class: one whole-program invariant.
 
-    Mirrors :class:`repro.lint.rules.Rule` but checks a
-    :class:`ProjectContext` instead of a single module — findings may
-    land in any file of the project.
+    Shares ``id``, ``summary`` and :meth:`~repro.lint.rules.Rule.finding`
+    with :class:`~repro.lint.rules.Rule`, but the engine calls
+    :meth:`check_project` on a :class:`ProjectContext` instead of
+    ``check`` on one module — findings may land in any file of the
+    project.
     """
-
-    id: str = ""
-    summary: str = ""
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def finding(self, ctx: ModuleContext, node: ast.AST, message: str) -> Finding:
-        return Finding(
-            rule=self.id,
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            message=message,
-        )
 
 
 PROJECT_RULES: dict[str, ProjectRule] = {}
@@ -403,19 +393,30 @@ class CacheInvalidationRule(ProjectRule):
 # -- obs-rng-flow ------------------------------------------------------------
 
 _RESOLVE_OBS = "repro.obs.resolve_obs"
-#: zero-argument forms seed from OS entropy — unreproducible by design
-_ENTROPY_CTORS = {"numpy.random.default_rng", "random.Random"}
+_ENTRY_POINT_PREFIXES = ("schedule_", "simulate_", "run_", "batch_")
 
 
 @register_project_rule
 class ObsRngFlowRule(ProjectRule):
     id = "obs-rng-flow"
     summary = (
-        "obs= must thread through every call chain reaching resolve_obs; "
-        "no OS-entropy RNG construction; no dead seed=/rng= parameters"
+        "public entry points in a module that calls resolve_obs, or whose "
+        "call graph reaches it, must accept and forward obs=; no dead "
+        "seed=/rng= parameters"
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
+        obs_callers = {
+            qual
+            for qual, info in project.functions.items()
+            if any(
+                isinstance(node, ast.Call)
+                and info.ctx.resolve_call(node) == _RESOLVE_OBS
+                for node in walk_scope(info.node)
+            )
+        }
+        obs_modules = {project.functions[qual].module for qual in obs_callers}
+        obs_sinks = obs_callers | {_RESOLVE_OBS}
         for qual in sorted(project.functions):
             info = project.functions[qual]
             if info.cls is not None or info.parent is not None:
@@ -426,7 +427,6 @@ class ObsRngFlowRule(ProjectRule):
             ):
                 continue
             params = info.param_names()
-            # dead seed/rng knobs (any public entry point)
             for knob in ("seed", "rng"):
                 if knob in params and not _uses_name(info.node, knob):
                     yield self.finding(
@@ -436,55 +436,36 @@ class ObsRngFlowRule(ProjectRule):
                         f"dead determinism knob is silently "
                         f"unreproducible behaviour",
                     )
-            # interprocedural obs threading (tier-1 obs-threading
-            # already owns the hard-coded scheduler modules)
-            if info.module in _SCHEDULER_MODULES:
-                continue
-            if not self._reaches_resolve_obs(project, info):
+            if info.module not in obs_modules and not (
+                project.reachable([qual]) & obs_sinks
+            ):
                 continue
             if "obs" not in params:
                 yield self.finding(
                     info.ctx,
                     info.node,
-                    f"{name}() transitively reaches the observability "
-                    f"stack (resolve_obs) but does not accept obs=; "
+                    f"public entry point {name}() does not accept obs=, but "
+                    f"its module or its call graph reaches resolve_obs; "
                     f"callers cannot thread observability through it",
                 )
             elif not _uses_name(info.node, "obs"):
                 yield self.finding(
                     info.ctx,
                     info.node,
-                    f"{name}() accepts obs= but never forwards it toward "
-                    f"the resolve_obs call it reaches",
+                    f"{name}() accepts obs= but never forwards it "
+                    f"(resolve_obs(obs) or pass obs= downstream)",
                 )
-        # OS-entropy RNG construction, anywhere (module scope included)
-        for module in sorted(project.modules):
-            ctx = project.modules[module]
-            for node in ast.walk(ctx.tree):
-                if (
-                    isinstance(node, ast.Call)
-                    and not node.args
-                    and not node.keywords
-                    and ctx.resolve_call(node) in _ENTROPY_CTORS
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "RNG constructed with no seed draws OS entropy; "
-                        "pass an explicit seed or thread a Generator in",
-                    )
 
-    def _reaches_resolve_obs(
-        self, project: ProjectContext, entry: FunctionInfo
-    ) -> bool:
-        for qual in project.reachable([entry.qualname]):
-            if qual == _RESOLVE_OBS:
-                return True
-            info = project.functions[qual]
-            for node in walk_scope(info.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and info.ctx.resolve_call(node) == _RESOLVE_OBS
-                ):
-                    return True
-        return False
+
+def _uses_name(fn: ast.FunctionDef | ast.AsyncFunctionDef, target: str) -> bool:
+    """Whether ``fn``'s own scope reads ``target`` or passes ``target=``."""
+    for node in _walk_scope(fn):
+        if isinstance(node, ast.Name) and node.id == target and isinstance(
+            node.ctx, ast.Load
+        ):
+            return True
+        if isinstance(node, ast.Call) and any(
+            kw.arg == target for kw in node.keywords
+        ):
+            return True
+    return False

@@ -6,9 +6,8 @@ multi-line expressions, where the flagged line is the start of the
 call).  ``# reprolint: ignore`` with no bracket suppresses every rule on
 that line; ``# reprolint: ignore[rule-a,rule-b]`` suppresses exactly the
 named rules.  Unknown rule ids in the bracket are tolerated (they simply
-never match), so suppressions survive rule renames without crashing the
-lint run — the round-trip tests in ``tests/lint`` keep the known ids
-honest.
+never match), so a rule rename never crashes the lint run; a tier-1 test
+checks that every suppression in the repo names a registered rule.
 """
 
 from __future__ import annotations

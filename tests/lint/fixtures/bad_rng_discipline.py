@@ -1,4 +1,4 @@
-"""Fixture: module-level RNG draws (rng-discipline must flag both)."""
+"""Fixture: global RNG draws and unseeded RNG constructors (rng-discipline flags all four)."""
 
 import random
 
@@ -9,3 +9,8 @@ def shuffle_ranks(pairs):
     noise = np.random.random(len(pairs))
     random.shuffle(pairs)
     return pairs, noise
+
+
+def fresh_streams():
+    rng = np.random.default_rng()
+    return rng, random.Random()

@@ -10,3 +10,8 @@ def shuffle_ranks(pairs, seed):
     noise = rng.random(len(pairs))
     random.Random(seed).shuffle(pairs)
     return pairs, noise
+
+
+def fresh_streams(seed):
+    rng = np.random.default_rng(seed)
+    return rng, random.Random(seed)

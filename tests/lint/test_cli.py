@@ -17,16 +17,16 @@ def run(capsys, *argv):
 class TestLintCommand:
     def test_clean_file_exits_zero(self, capsys):
         code, out, _ = run(
-            capsys, "lint", os.path.join(FIXTURES, "good_bare_except.py")
+            capsys, "lint", os.path.join(FIXTURES, "good_dtype_contract.py")
         )
         assert code == 0
         assert "0 finding(s)" in out
 
     def test_findings_exit_three(self, capsys):
-        path = os.path.join(FIXTURES, "bad_bare_except.py")
+        path = os.path.join(FIXTURES, "bad_dtype_contract.py")
         code, out, _ = run(capsys, "lint", path)
         assert code == 3
-        assert f"{path}:7:4: bare-except:" in out
+        assert f"{path}:7:12: dtype-contract:" in out
 
     def test_parse_failure_exits_two(self, capsys, tmp_path):
         broken = tmp_path / "broken.py"
@@ -45,22 +45,22 @@ class TestLintCommand:
         code, out, _ = run(
             capsys,
             "lint",
-            os.path.join(FIXTURES, "bad_bare_except.py"),
+            os.path.join(FIXTURES, "bad_dtype_contract.py"),
             "--format",
             "json",
         )
         assert code == 3
         payload = json.loads(out)
         assert payload["version"] == 1
-        assert payload["findings"][0]["rule"] == "bare-except"
+        assert payload["findings"][0]["rule"] == "dtype-contract"
 
     def test_rule_selection(self, capsys):
         code, out, _ = run(
             capsys,
             "lint",
-            os.path.join(FIXTURES, "bad_bare_except.py"),
+            os.path.join(FIXTURES, "bad_dtype_contract.py"),
             "--rule",
-            "mutable-default",
+            "rng-discipline",
         )
         assert code == 0
 
@@ -88,7 +88,7 @@ class TestLintCommand:
 class TestLintProjectCLI:
     def test_src_tree_clean_under_project_lint(self, capsys):
         """The CI tier-2 gate: whole-program rules over src/ must be
-        finding-free with no baseline."""
+        finding-free."""
         root = os.path.normpath(
             os.path.join(os.path.dirname(__file__), "..", "..", "src")
         )
@@ -104,45 +104,12 @@ class TestLintProjectCLI:
         assert "--project" in err
 
     def test_github_format(self, capsys):
-        path = os.path.join(FIXTURES, "bad_bare_except.py")
+        path = os.path.join(FIXTURES, "bad_dtype_contract.py")
         code, out, _ = run(capsys, "lint", path, "--format", "github")
         assert code == 3
-        assert f"::error file={path},line=7,col=5," in out
-        assert "title=repro-lint bare-except::" in out
+        assert f"::error file={path},line=7,col=13," in out
+        assert "title=repro-lint dtype-contract::" in out
         assert "::notice title=repro-lint summary::" in out
-
-    def test_write_then_apply_baseline(self, capsys, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        path = os.path.join(FIXTURES, "bad_bare_except.py")
-        code, _, err = run(
-            capsys, "lint", path, "--write-baseline", str(baseline)
-        )
-        assert code == 3
-        assert "wrote" in err
-        code, out, _ = run(capsys, "lint", path, "--baseline", str(baseline))
-        assert code == 0
-        assert "0 finding(s)" in out
-        assert "1 baselined" in out
-
-    def test_missing_baseline_file_errors(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys,
-            "lint",
-            "--baseline",
-            str(tmp_path / "absent.json"),
-            FIXTURES,
-        )
-        assert code == 2
-        assert "error:" in err
-
-    def test_malformed_baseline_errors(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"version": 99, "entries": []}\n')
-        code, _, err = run(
-            capsys, "lint", "--baseline", str(bad), FIXTURES
-        )
-        assert code == 2
-        assert "version" in err
 
 
 class TestFuzzLintCorpus:

@@ -6,8 +6,8 @@ shipped in PRs 6–8 (or a fresh violation of the same seam), runs the
 whole-program lint, and asserts the exact rule id, file and line of the
 finding.  The remaining classes cover the engine edge cases: suppression
 comments on decorated/async defs, per-rule suppression scoping across
-project rules, baseline round-trips, and aliased relative-import call
-graph resolution.
+project rules, the derived scope of ``obs=`` threading, and aliased
+relative-import call graph resolution.
 """
 
 import ast
@@ -15,14 +15,11 @@ import os
 import shutil
 
 from repro.lint import (
-    Baseline,
-    Finding,
+    PROJECT_RULES,
     ModuleContext,
     ProjectContext,
     lint_paths,
     lint_source,
-    load_baseline,
-    write_baseline,
 )
 
 REPO_SRC = os.path.normpath(
@@ -62,8 +59,8 @@ def line_of(path, needle):
     return hits[0]
 
 
-def project_lint(root, rule):
-    result = lint_paths([str(root)], rule_ids=[rule], project=True)
+def project_lint(root, *rules):
+    result = lint_paths([str(root)], rule_ids=list(rules), project=True)
     assert result.parse_failures == []
     return result
 
@@ -137,10 +134,10 @@ class TestDemonstratedCatch:
     def test_obs_rng_flow_catches_dead_knob_entropy_and_missing_obs(
         self, tmp_path
     ):
-        # Three legs of the interprocedural successor to tier-1
-        # obs-threading/rng-discipline: a dead seed= knob, an OS-entropy
-        # RNG at module scope, and an entry point that reaches
-        # resolve_obs through the call graph without accepting obs=.
+        # Three legs: a dead seed= knob, an OS-entropy RNG at module
+        # scope (an rng-discipline finding), and an entry point that
+        # reaches resolve_obs through the call graph without accepting
+        # obs=.
         root = copy_tree(tmp_path)
         probe = root / "repro" / "workloads" / "probe_lint.py"
         probe.write_text(
@@ -153,11 +150,11 @@ class TestDemonstratedCatch:
             "    from ..core.greedy import schedule_greedy_first_fit\n\n"
             "    return schedule_greedy_first_fit(ft, ms)\n"
         )
-        result = project_lint(root, "obs-rng-flow")
+        result = project_lint(root, "obs-rng-flow", "rng-discipline")
         assert result.exit_code == 3
         assert locations(result) == {
             (
-                "obs-rng-flow",
+                "rng-discipline",
                 "probe_lint.py",
                 line_of(probe, "_RNG = np.random.default_rng()"),
             ),
@@ -177,6 +174,35 @@ class TestDemonstratedCatch:
         assert (
             "resolve_obs" in by_line[line_of(probe, "def run_probe_chained")]
         )
+
+    def test_obs_rng_flow_catches_missing_obs_in_a_scheduler_module(
+        self, tmp_path
+    ):
+        # core/online.py calls resolve_obs itself, so every public entry
+        # point in it is on the observability path, even one that never
+        # touches obs: the scope a hand-kept module list used to give.
+        root = copy_tree(tmp_path)
+        online = root / "repro" / "core" / "online.py"
+        online.write_text(
+            online.read_text()
+            + "\n\ndef schedule_nothing(ft, messages):\n"
+            "    return []\n\n\n"
+            "def simulate_dropper(ft, messages, *, obs=None):\n"
+            "    return list(messages)\n"
+        )
+        result = project_lint(root, "obs-rng-flow")
+        assert result.exit_code == 3
+        assert locations(result) == {
+            ("obs-rng-flow", "online.py", line_of(online, "def schedule_nothing")),
+            ("obs-rng-flow", "online.py", line_of(online, "def simulate_dropper")),
+        }
+        by_line = {f.line: f.message for f in result.findings}
+        assert "does not accept obs=" in by_line[
+            line_of(online, "def schedule_nothing")
+        ]
+        assert "never forwards it" in by_line[
+            line_of(online, "def simulate_dropper")
+        ]
 
 
 class TestProjectSuppression:
@@ -203,10 +229,11 @@ class TestProjectSuppression:
     def test_standalone_ignore_between_decorator_and_def(self):
         src = (
             "import functools\n\n"
+            "import numpy as np\n\n"
             "@functools.lru_cache\n"
-            "# reprolint: ignore[mutable-default]\n"
-            "def f(a=[]):\n"
-            "    return a\n"
+            "# reprolint: ignore[rng-discipline]\n"
+            "def f(rng=np.random.default_rng()):\n"
+            "    return rng\n"
         )
         result = lint_source(src, module="repro.core.tmpmod")
         assert result.findings == []
@@ -214,75 +241,13 @@ class TestProjectSuppression:
 
     def test_same_line_ignore_on_async_def(self):
         src = (
-            "async def f(a=[]):  # reprolint: ignore[mutable-default]\n"
-            "    return a\n"
+            "import numpy as np\n\n"
+            "async def f(rng=np.random.default_rng()):  # reprolint: ignore[rng-discipline]\n"
+            "    return rng\n"
         )
         result = lint_source(src, module="repro.core.tmpmod")
         assert result.findings == []
         assert result.suppressed == 1
-
-
-class TestBaseline:
-    def test_round_trip_keys_on_message_not_line(self, tmp_path):
-        finding = Finding(
-            rule="async-blocking",
-            path="src/repro/serve/daemon.py",
-            line=10,
-            col=4,
-            message="blocking call time.sleep inside async def handle()",
-        )
-        path = tmp_path / "baseline.json"
-        written = write_baseline(str(path), [finding])
-        assert len(written) == 1
-        loaded = load_baseline(str(path))
-        assert finding in loaded
-        # same finding at a shifted line (unrelated edit) stays baselined
-        moved = Finding(
-            rule=finding.rule,
-            path="./src/repro/serve/daemon.py",
-            line=999,
-            col=0,
-            message=finding.message,
-        )
-        assert moved in loaded
-        # a changed message (the code changed materially) resurfaces
-        changed = Finding(
-            rule=finding.rule,
-            path=finding.path,
-            line=finding.line,
-            col=finding.col,
-            message="blocking call os.system inside async def handle()",
-        )
-        assert changed not in loaded
-
-    def test_empty_baseline_subtracts_nothing(self):
-        result = lint_source("def f(a=[]):\n    return a\n")
-        empty = Baseline()
-        assert len(empty) == 0
-        assert result.findings[0] not in empty
-
-    def test_baselined_project_findings_do_not_fail_the_run(self, tmp_path):
-        root = copy_tree(tmp_path)
-        daemon = root / "repro" / "serve" / "daemon.py"
-        daemon.write_text(
-            daemon.read_text()
-            + "\n\nasync def _lint_probe() -> None:\n"
-            "    import time\n\n"
-            "    time.sleep(0.5)\n"
-        )
-        first = project_lint(root, "async-blocking")
-        assert first.exit_code == 3
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(str(baseline_path), first.findings)
-        again = lint_paths(
-            [str(root)],
-            rule_ids=["async-blocking"],
-            project=True,
-            baseline=load_baseline(str(baseline_path)),
-        )
-        assert again.findings == []
-        assert again.baselined == len(first.findings) == 1
-        assert again.exit_code == 0
 
 
 def _ctx(module, source, *, package=False):
@@ -351,6 +316,37 @@ class TestCallGraphResolution:
             project.resolve_symbol("repro.core.schedule_greedy_first_fit")
             == "repro.core.greedy.schedule_greedy_first_fit"
         )
+
+
+class TestObsRngFlowScope:
+    """obs= threading is scoped by resolve_obs, not by a module list."""
+
+    ENTRY_POINTS = (
+        "def schedule_nothing(ft, messages):\n"
+        "    return []\n\n\n"
+        "def simulate_dropper(ft, messages, *, obs=None):\n"
+        "    return list(messages)\n"
+    )
+
+    def _findings(self, source):
+        project = ProjectContext([_ctx("repro.pkgx.mod", source)])
+        rule = PROJECT_RULES["obs-rng-flow"]
+        return [(f.rule, f.line) for f in rule.check_project(project)]
+
+    def test_entry_points_off_the_obs_path_stay_silent(self):
+        # the module neither calls nor reaches resolve_obs
+        assert self._findings(self.ENTRY_POINTS) == []
+
+    def test_module_calling_resolve_obs_puts_them_in_scope(self):
+        source = (
+            "from repro.obs import resolve_obs\n\n\n"
+            "def _span(obs):\n"
+            "    return resolve_obs(obs)\n\n\n" + self.ENTRY_POINTS
+        )
+        assert self._findings(source) == [
+            ("obs-rng-flow", 8),
+            ("obs-rng-flow", 12),
+        ]
 
 
 class TestProjectSelfHost:
