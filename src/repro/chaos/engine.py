@@ -46,6 +46,7 @@ from ..core.errors import DeliveryTimeout
 from ..core.fattree import Direction, FatTree
 from ..core.load import channel_loads
 from ..core.message import MessageSet
+from ..core.registry import STACKS
 from ..core.schedule import CycleStats, Schedule, ScheduleError
 from ..faults.backoff import BackoffPolicy
 from ..faults.degraded import DegradedFatTree
@@ -431,7 +432,7 @@ def run_chaos_store_and_forward(
     )
 
 
-_OFFLINE_SCHEDULERS = ("theorem1", "corollary2", "greedy")
+_OFFLINE_SCHEDULERS = tuple(n for n, s in STACKS.items() if s.kind == "offline")
 
 
 def run_chaos_schedule(
@@ -474,7 +475,10 @@ def run_chaos_schedule(
     routable = messages.without_self_messages()
     n_self = len(messages) - len(routable)
     if schedule is None:
-        schedule = _offline_schedule(tree, messages, scheduler, obs)
+        # off-line stacks are unseeded: ``seed`` is ignored
+        schedule = STACKS[scheduler].run(
+            tree, messages, seed=0, max_cycles=max_cycles, obs=obs
+        )
     loop = DeliveryLoop(
         tree,
         routable,
@@ -568,20 +572,6 @@ def run_chaos_schedule(
         cycle_stats=ctrl.cycle_stats,
         dropped=ctrl.dropped_messages(routable),
     )
-
-
-def _offline_schedule(
-    tree: DegradedFatTree, messages: MessageSet, scheduler: str, obs
-) -> Schedule:
-    from ..core.greedy import schedule_greedy_first_fit
-    from ..core.reuse_scheduler import schedule_corollary2
-    from ..core.scheduler import schedule_theorem1
-
-    if scheduler == "theorem1":
-        return schedule_theorem1(tree, messages, obs=obs)
-    if scheduler == "corollary2":
-        return schedule_corollary2(tree, messages, obs=obs)
-    return schedule_greedy_first_fit(tree, messages, obs=obs)
 
 
 # -- graceful-degradation gates --------------------------------------------

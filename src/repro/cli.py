@@ -13,10 +13,10 @@ Six inspection commands mirroring the library's main entry points:
 * ``faults``    — inject wire/switch/transient faults and measure the
   degraded tree: surviving capacities, λ inflation, schedule and retry
   cost, per-message attempt histogram;
-* ``trace``     — run a workload with observability enabled
-  (:mod:`repro.obs`) and print the per-cycle accounting, per-level
-  channel utilisation, cache and kernel-timing summaries — or dump the
-  raw trace as JSONL (``--jsonl``);
+* ``trace``     — run any :data:`repro.core.registry.STACKS` stack with
+  observability enabled (:mod:`repro.obs`) and print the per-cycle
+  accounting, per-level channel utilisation, cache and kernel-timing
+  summaries — or dump the raw trace as JSONL (``--jsonl``);
 * ``fuzz``      — differential conformance fuzzing (:mod:`repro.verify`):
   replay the regression corpus, then run seeded adversarial cases
   through all routing stacks and cross-check them; on failure, shrink
@@ -33,7 +33,8 @@ Six inspection commands mirroring the library's main entry points:
   violation.
 
 Routing failures (``UnroutableError``, ``DeliveryTimeout``) exit with a
-one-line ``error:`` message and status 3, never a traceback.
+one-line ``error:`` message and status 3, never a traceback; input no
+run can start from (a bad ``--n``/``--w``) exits 2 the same way.
 """
 
 from __future__ import annotations
@@ -44,8 +45,13 @@ import os
 import sys
 
 from .analysis import format_table
+from .core.registry import BATCH_KERNELS, STACKS
 
 __all__ = ["main", "build_parser"]
+
+
+class _UsageError(Exception):
+    """Input no run can start from; :func:`main` exits 2 on it."""
 
 
 def _make_fattree(n: int, w: int | None):
@@ -53,7 +59,10 @@ def _make_fattree(n: int, w: int | None):
 
     if w is None:
         w = n
-    return FatTree(n, UniversalCapacity(n, w, strict=False))
+    try:
+        return FatTree(n, UniversalCapacity(n, w, strict=False))
+    except ValueError as exc:
+        raise _UsageError(f"invalid --n/--w: {exc}") from None
 
 
 def _make_traffic(kind: str, n: int, messages: int, seed: int):
@@ -326,42 +335,11 @@ def cmd_faults(args) -> int:
     return 0
 
 
-def _run_traced(args, ft, m, obs):
-    """Dispatch ``--scheduler`` with observability attached; returns the
-    label used in table titles."""
-    from .core import (
-        schedule_greedy_first_fit,
-        schedule_random_rank,
-        schedule_theorem1,
-        simulate_online_retry,
-    )
-    from .hardware import run_store_and_forward, run_until_delivered
-
-    if args.scheduler == "random-rank":
-        schedule_random_rank(
-            ft, m, seed=args.seed, max_cycles=args.max_cycles,
-            obs=obs,
-        )
-    elif args.scheduler == "theorem1":
-        schedule_theorem1(ft, m, obs=obs)
-    elif args.scheduler == "greedy":
-        schedule_greedy_first_fit(ft, m, obs=obs)
-    elif args.scheduler == "online-retry":
-        simulate_online_retry(ft, m, seed=args.seed, obs=obs)
-    elif args.scheduler == "switchsim":
-        run_until_delivered(
-            ft, m, seed=args.seed, max_cycles=args.max_cycles, obs=obs
-        )
-    elif args.scheduler == "buffered":
-        run_store_and_forward(ft, m, obs=obs)
-    else:  # pragma: no cover - argparse choices guard this
-        raise ValueError(f"unknown scheduler {args.scheduler!r}")
-    return args.scheduler
-
-
 def cmd_trace(args) -> int:
+    from .core import DeliveryTimeout, UnroutableError
     from .obs import Obs
 
+    stack = STACKS[args.scheduler]
     if args.quick:
         args.n, args.messages = 64, 128
     ft = _make_fattree(args.n, args.w)
@@ -375,12 +353,17 @@ def cmd_trace(args) -> int:
     obs = Obs(enabled=True)
     interrupted = False
     try:
-        label = _run_traced(args, ft, m, obs)
+        stack.run(ft, m, seed=args.seed, max_cycles=args.max_cycles, obs=obs)
+    except (UnroutableError, DeliveryTimeout):
+        raise  # routing failures exit 3 in main (UnroutableError is a ValueError)
+    except ValueError as exc:
+        # a stack whose hypothesis the tree does not meet (Corollary 2
+        # on a universal tree, whose leaf channels are narrower than lg n)
+        raise _UsageError(str(exc)) from None
     except KeyboardInterrupt:
         # Flush whatever the tracer captured before Ctrl-C: a partial
         # JSONL trace is still a valid, loadable artifact.
         interrupted = True
-        label = args.scheduler
 
     if args.jsonl:
         text = obs.tracer.to_jsonl()
@@ -408,7 +391,7 @@ def cmd_trace(args) -> int:
     print(
         format_table(
             rows,
-            title=f"{label} on n={args.n}: {len(records)} {unit} — "
+            title=f"{args.scheduler} on n={args.n}: {len(records)} {unit} — "
             f"{totals} (message-cycles)",
         )
     )
@@ -450,7 +433,7 @@ def cmd_trace(args) -> int:
                 f"{int(hits)} hit(s), {int(misses)} miss(es)",
             )
         )
-    retried = obs.metrics.counter_value("messages.retried", scheduler=label.replace("-", "_"))
+    retried = obs.metrics.counter_value("messages.retried", scheduler=stack.label)
     if retried:
         print(f"\nretries: {int(retried)} message-cycles NACKed and retried")
     return 0
@@ -804,7 +787,10 @@ def cmd_serve(args) -> int:
             model.kill_wire_fraction(base, frac)
         tenants[name] = DegradedFatTree(base, model)
 
-    engine = ServeEngine(config, tenants=tenants)
+    try:
+        engine = ServeEngine(config, tenants=tenants)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     code = 0
     try:
         if args.port is not None:
@@ -857,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch", type=int, default=32, help="number of message sets B"
     )
     p.add_argument(
-        "--kernel", default="greedy", choices=["greedy", "random_rank"]
+        "--kernel", default="greedy", choices=BATCH_KERNELS
     )
     p.set_defaults(fn=cmd_batch)
 
@@ -921,14 +907,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--scheduler",
         default="random-rank",
-        choices=[
-            "random-rank",
-            "theorem1",
-            "greedy",
-            "online-retry",
-            "switchsim",
-            "buffered",
-        ],
+        choices=list(STACKS),
         help="which instrumented entry point to run",
     )
     p.add_argument(
@@ -1108,7 +1087,9 @@ def main(argv=None) -> int:
 
     Routing failures — traffic with no surviving path, or a run that
     exhausts its delivery-cycle budget — exit with a one-line ``error:``
-    message and status 3, never a traceback.
+    message and status 3, never a traceback; input no run can start
+    from (a ``--n``/``--w`` with no fat-tree, a stack outside its
+    hypothesis) exits 2 the same way.
     """
     from .core import DeliveryTimeout, UnroutableError
 
@@ -1118,6 +1099,9 @@ def main(argv=None) -> int:
     except (UnroutableError, DeliveryTimeout) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The reader of our stdout (e.g. ``... | head``) went away
         # mid-stream.  Truncated output is the reader's choice, not an

@@ -55,11 +55,10 @@ if TYPE_CHECKING:
 from ..core.delivery import level_capacity_totals, record_cycle, record_offline_cycles
 from ..core.errors import DeliveryTimeout, UnroutableError
 from ..core.message import MessageSet
+from ..core.registry import BATCH_KERNELS
 from ..core.schedule import CycleStats, Schedule
 
 __all__ = ["batch_schedule", "_reference_batch_schedule"]
-
-_KERNELS = ("greedy", "random_rank")
 
 
 def _combined_index(
@@ -435,8 +434,8 @@ def batch_schedule(
     """
     from ..obs import resolve_obs
 
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
+    if kernel not in BATCH_KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {BATCH_KERNELS}")
     obs = resolve_obs(obs)
     if not message_sets:
         return []
@@ -469,8 +468,8 @@ def _reference_batch_schedule(
     from ..core.online import schedule_random_rank
     from ..obs import resolve_obs
 
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}; expected one of {_KERNELS}")
+    if kernel not in BATCH_KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}; expected one of {BATCH_KERNELS}")
     obs = resolve_obs(obs)
     if kernel == "greedy":
         return [

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.message import MessageSet
+from ..core.registry import BATCH_KERNELS as KERNELS  # kernels a request may name
 
 __all__ = [
     "CODE_BAD_REQUEST",
@@ -58,8 +59,6 @@ CODE_INTERNAL = 500
 CODE_QUEUE_FULL = 503
 CODE_TIMEOUT = 504
 
-#: batch_schedule kernels a request may name.
-KERNELS = ("greedy", "random_rank")
 #: greedy intra-cycle orders a request may name.
 ORDERS = ("longest-first", "given")
 

@@ -71,13 +71,12 @@ def _solo_result(
     obs: "Obs | None",
 ) -> dict:
     """Schedule one set alone, mapping routing failures to refusal codes."""
-    from ..core import schedule_greedy_first_fit, schedule_random_rank
+    from ..perf.batch import _reference_batch_schedule
 
     try:
-        if kernel == "greedy":
-            schedule = schedule_greedy_first_fit(ft, ms, order=order, obs=obs)
-        else:
-            schedule = schedule_random_rank(ft, ms, seed=seed, obs=obs)
+        [schedule] = _reference_batch_schedule(
+            ft, [ms], kernel=kernel, order=order, seed=seed, obs=obs
+        )
     except UnroutableError as exc:
         return {"ok": False, "code": CODE_UNROUTABLE, "reason": str(exc)}
     except DeliveryTimeout as exc:

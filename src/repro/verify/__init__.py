@@ -1,10 +1,10 @@
 """Differential fuzzing and schedule conformance checking.
 
-The repo delivers the same message set six independent ways (Theorem 1,
-Corollary 2, random-rank on-line, greedy first-fit, online-retry, the
-buffered store-and-forward design and the bit-serial switch simulator —
-healthy or fault-degraded).  This package makes their agreement a
-one-command machine check:
+The repo delivers the same message set seven independent ways, one row
+each of :data:`repro.core.registry.STACKS` (Theorem 1, Corollary 2,
+random-rank, greedy first-fit, online-retry, the buffered design and
+the switch simulator — healthy or fault-degraded).  This package makes
+their agreement a one-command machine check:
 
 * :mod:`~repro.verify.generators` — seeded adversarial case generators
   (:func:`generate_case` is a pure function of ``(seed, index)``);

@@ -1,11 +1,12 @@
 """The schedule conformance oracle: one case, every routing stack.
 
-The repo has six independent ways to deliver the same message set —
+The repo has seven independent ways to deliver the same message set —
 the Theorem 1 off-line scheduler, the Corollary 2 reuse scheduler, the
 random-rank on-line kernel, greedy first-fit, the on-line retry loop,
 the buffered store-and-forward design and the bit-serial switch
-simulator — each also runnable on a fault-degraded tree.  Agreement
-between all of them *is* the reproduction's correctness claim, so the
+simulator — each also runnable on a fault-degraded tree, and each one
+row of :data:`repro.core.registry.STACKS`.  Agreement between all of
+them *is* the reproduction's correctness claim, so the
 :class:`DifferentialOracle` runs one :class:`~repro.verify.FuzzCase`
 through every entry point and cross-checks:
 
@@ -27,9 +28,10 @@ through every entry point and cross-checks:
   switch simulator's retry loop and the buffered design);
 * zero congestion losses when the Theorem 1 schedule is executed
   end-to-end on the bit-serial switch simulator;
-* observability accounting: per-cycle ``cycle`` events match the
-  returned schedule exactly, and tracing never perturbs the RNG
-  (traced and untraced runs are bit-identical);
+* observability accounting for every schedule stack that ran:
+  per-cycle ``cycle`` events under the stack's registry ``label``
+  match the returned schedule exactly, and tracing never perturbs the
+  RNG (traced and untraced runs are bit-identical);
 * chaos conformance (:mod:`repro.chaos`): an *empty*-timeline chaos run
   is bit-identical to the healthy run (run last, so it doubles as proof
   that real-timeline chaos runs leave no footprint on the caller's
@@ -57,28 +59,17 @@ from ..core.errors import DeliveryTimeout, UnroutableError
 from ..core.fattree import FatTree
 from ..core.load import load_factor
 from ..core.message import MessageSet
+from ..core.registry import BATCH_KERNELS, STACKS
 from ..core.schedule import Schedule, ScheduleError
 from .generators import FuzzCase
 
 __all__ = ["ConformanceError", "OracleReport", "DifferentialOracle", "SCHEDULE_STACKS"]
 
-SCHEDULE_STACKS: tuple[str, ...] = (
-    "theorem1",
-    "corollary2",
-    "random-rank",
-    "greedy",
-    "online-retry",
+SCHEDULE_STACKS: tuple[str, ...] = tuple(
+    name for name, stack in STACKS.items() if stack.kind != "hardware"
 )
-"""Entry points that return a :class:`~repro.core.Schedule` (the
+"""Registry stacks that return a :class:`~repro.core.Schedule` (the
 buffered design and the switch simulator are checked separately)."""
-
-#: tracer/metric label each schedule stack emits its events under
-_OBS_LABEL = {
-    "theorem1": "theorem1",
-    "random-rank": "random_rank",
-    "greedy": "greedy_first_fit",
-    "online-retry": "online_retry",
-}
 
 
 class ConformanceError(AssertionError):
@@ -108,33 +99,6 @@ class OracleReport:
     skipped: tuple[str, ...] = ()
 
 
-def _default_schedulers():
-    """Name → ``fn(ft, messages, *, seed, max_cycles, obs)`` for every
-    schedule-producing stack (late imports keep CLI startup light)."""
-    from ..core.greedy import schedule_greedy_first_fit, simulate_online_retry
-    from ..core.online import schedule_random_rank
-    from ..core.reuse_scheduler import schedule_corollary2
-    from ..core.scheduler import schedule_theorem1
-
-    return {
-        "theorem1": lambda ft, m, *, seed, max_cycles, obs=None: (
-            schedule_theorem1(ft, m, obs=obs)
-        ),
-        "corollary2": lambda ft, m, *, seed, max_cycles, obs=None: (
-            schedule_corollary2(ft, m)
-        ),
-        "random-rank": lambda ft, m, *, seed, max_cycles, obs=None: (
-            schedule_random_rank(ft, m, seed=seed, max_cycles=max_cycles, obs=obs)
-        ),
-        "greedy": lambda ft, m, *, seed, max_cycles, obs=None: (
-            schedule_greedy_first_fit(ft, m, obs=obs)
-        ),
-        "online-retry": lambda ft, m, *, seed, max_cycles, obs=None: (
-            simulate_online_retry(ft, m, seed=seed, max_cycles=max_cycles, obs=obs)
-        ),
-    }
-
-
 def _schedule_pairs(sched: Schedule) -> list[list[tuple[int, int]]]:
     """Cycles as lists of ``(src, dst)`` pairs, for bit-identity tests."""
     return [cycle.as_pairs() for cycle in sched.cycles]
@@ -157,10 +121,11 @@ class DifferentialOracle:
         Delivery-cycle budget handed to the on-line stacks (exhausting
         it is itself a conformance failure).
     overrides:
-        Optional ``{stack_name: runner}`` replacing a default scheduler;
-        a runner has signature ``fn(ft, messages, *, seed, max_cycles,
-        obs=None) -> Schedule``.  This is the mutation-testing hook: an
-        intentionally broken scheduler must be caught by the checks.
+        Optional ``{stack_name: runner}`` replacing a registry stack's
+        :meth:`~repro.core.registry.Stack.run`; a runner has signature
+        ``fn(ft, messages, *, seed, max_cycles, obs=None) -> Schedule``.
+        This is the mutation-testing hook: an intentionally broken
+        scheduler must be caught by the checks.
     run_hardware:
         Also run the buffered store-and-forward design and the
         bit-serial switch simulator (on by default; the hardware stacks
@@ -187,7 +152,7 @@ class DifferentialOracle:
         self.run_hardware = bool(run_hardware)
         self.check_obs = bool(check_obs)
         self.check_chaos = bool(check_chaos)
-        self._schedulers = _default_schedulers()
+        self._schedulers = {name: STACKS[name].run for name in SCHEDULE_STACKS}
         if overrides:
             unknown = set(overrides) - set(self._schedulers)
             if unknown:
@@ -277,18 +242,9 @@ class DifferentialOracle:
         return report
 
     def _check_unroutable_refused(self, ft, messages, check) -> None:
-        from ..core.online import schedule_random_rank
-        from ..core.scheduler import schedule_theorem1
-
-        for name, fn in (
-            ("theorem1", lambda: schedule_theorem1(ft, messages)),
-            (
-                "random-rank",
-                lambda: schedule_random_rank(ft, messages, max_cycles=4),
-            ),
-        ):
+        for name in ("theorem1", "random-rank"):
             try:
-                fn()
+                STACKS[name].run(ft, messages, seed=0, max_cycles=4)
                 check(False, f"{name}: accepted messages with severed paths")
             except UnroutableError:
                 check(True, "")
@@ -393,7 +349,7 @@ class DifferentialOracle:
         sets = [routable_input]
         for extra in case.batch_message_sets()[1:]:
             sets.append(extra.take(ft.routable_mask(extra)))
-        for kernel in ("greedy", "random_rank"):
+        for kernel in BATCH_KERNELS:
             try:
                 batched = batch_schedule(
                     ft,
@@ -445,9 +401,8 @@ class DifferentialOracle:
         ``cycle`` events must match the returned schedule exactly."""
         from ..obs import Obs
 
-        for name, label in _OBS_LABEL.items():
-            if name not in schedules:
-                continue
+        for name in schedules:
+            label = STACKS[name].label
             obs = Obs(enabled=True)
             try:
                 traced = self._schedulers[name](

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.registry import STACKS
 
 
 def run(capsys, *argv):
@@ -19,6 +20,28 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bogus"])
+
+
+class TestInvalidInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["topology", "--n", "3"],
+            ["schedule", "--n", "63"],
+            ["batch", "--w", "999"],
+            ["hardware", "--w", "0"],
+            ["faults", "--n", "5"],
+            ["trace", "--quick", "--w", "100000"],
+            ["chaos", "--w", "0"],
+            ["serve", "--n", "63", "--shards", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_tree_size_exits_2_with_one_line_error(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err.count("\n") == 1
 
 
 class TestTopology:
@@ -179,14 +202,18 @@ class TestTrace:
         assert "channel utilisation" in out
         assert "kernel timings" in out
 
-    @pytest.mark.parametrize(
-        "scheduler",
-        ["random-rank", "theorem1", "greedy", "online-retry", "switchsim", "buffered"],
-    )
+    @pytest.mark.parametrize("scheduler", list(STACKS))
     def test_every_scheduler_runs(self, capsys, scheduler):
-        code, out = run(capsys, "trace", "--quick", "--scheduler", scheduler)
+        code = main(["trace", "--quick", "--scheduler", scheduler])
+        captured = capsys.readouterr()
+        if scheduler == "corollary2":
+            # CLI trees are universal: leaf channels are narrower than lg n
+            assert code == 2
+            assert captured.err.startswith("error: Corollary 2 requires")
+            assert captured.err.count("\n") == 1
+            return
         assert code == 0
-        assert scheduler in out
+        assert scheduler in captured.out
 
     def test_jsonl_to_stdout_parses(self, capsys):
         from repro.obs import Tracer
@@ -218,9 +245,13 @@ class TestTrace:
         assert "cannot be routed" in err
         assert "Traceback" not in err
 
-    def test_timeout_exits_3_with_one_line_error(self, capsys):
+    @pytest.mark.parametrize(
+        "scheduler", ["random-rank", "online-retry", "switchsim"]
+    )
+    def test_timeout_exits_3_with_one_line_error(self, capsys, scheduler):
         code = main(
-            ["trace", "--quick", "--loss-rate", "0.9", "--max-cycles", "5"]
+            ["trace", "--quick", "--scheduler", scheduler,
+             "--loss-rate", "0.9", "--max-cycles", "5"]
         )
         err = capsys.readouterr().err
         assert code == 3

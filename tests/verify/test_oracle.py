@@ -60,6 +60,25 @@ def test_corollary2_runs_on_wide_profile(clean_oracle):
     assert "corollary2" in report.cycles
 
 
+def test_obs_checks_cover_corollary2():
+    """A Cor 2 runner that drops ``obs=`` emits no cycle events; the
+    obs-accounting check must notice on a case where Cor 2 applies."""
+    from repro.core import schedule_corollary2
+
+    oracle = DifferentialOracle(
+        overrides={
+            "corollary2": lambda ft, m, *, seed, max_cycles, obs=None: (
+                schedule_corollary2(ft, m)
+            )
+        }
+    )
+    case = FuzzCase(
+        label="wide", n=8, w=5, src=(0, 1, 2), dst=(7, 6, 5), profile="constant"
+    )
+    with pytest.raises(ConformanceError, match="corollary2: 0 cycle events"):
+        oracle.check(case)
+
+
 def test_schedule_stacks_all_covered_somewhere(clean_oracle):
     covered = set()
     for i in range(40):
