@@ -15,8 +15,11 @@ a random permutation (seed 0), ≥5× on ``schedule_greedy_first_fit`` at
 :func:`repro.perf.batch_schedule` over the serial per-set loop at
 ``B = 32, n = 256``, ≥10× on Theorem 1 with ``local_traffic`` (2n
 messages) and ≥3× on Corollary 2 (8n uniform messages on
-``ConstantCapacity(lg n, 2 lg n)``), both at ``n = 1024`` (both modes,
-so the CI ``--quick`` smoke enforces them too).  The path-index cache
+``ConstantCapacity(lg n, 2 lg n)``), both at ``n = 1024``, and ≥3× on
+one switch-simulator delivery cycle (uniform 4n messages; ``n = 256``
+with ``--quick``, ``n = 1024`` in full) over the per-frame
+``_reference_run_delivery_cycle`` (both modes, so the CI ``--quick``
+smoke enforces them too).  The path-index cache
 is cleared before every timed call, so the vectorised numbers are
 *cold* — cache hits across schedulers only widen the gap in real use.
 
@@ -35,6 +38,7 @@ import math
 import sys
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_PERF.json"
@@ -228,6 +232,42 @@ def _run_batched_case(repeats=REPEATS):
     }
 
 
+def _run_switchsim_case(n, repeats=REPEATS):
+    """One switch-simulator delivery cycle of uniform 4n messages (seed
+    0, on the full-bandwidth tree) against the per-frame
+    ``_reference_run_delivery_cycle``: every frame list must match, in
+    order.  The array cycle builds its frames only when they are read,
+    after the timed call, as the retry loop never reads them."""
+    from repro.core import FatTree
+    from repro.hardware.switchsim import (
+        _reference_run_delivery_cycle,
+        run_delivery_cycle,
+    )
+    from repro.workloads import uniform_random
+
+    ft = FatTree(n)
+    m = uniform_random(n, 4 * n, seed=0)
+    new_fn = partial(run_delivery_cycle, seed=0)
+    old_fn = partial(_reference_run_delivery_cycle, seed=0)
+    new_s, new_report = _time(new_fn, ft, m, repeats=repeats)
+    old_s, old_report = _time(old_fn, ft, m, repeats=repeats)
+    label = f"switchsim cycle uniform x4 n={n}"
+    assert new_report == old_report, f"{label}: array cycle diverged from the frame simulator"
+    return {
+        "case": label,
+        "kernel": "run_delivery_cycle",
+        "n": n,
+        "workload": "uniform x4",
+        "cycles": 1,
+        "reference_s": round(old_s, 6),
+        "vectorised_s": round(new_s, 6),
+        "speedup": round(old_s / new_s, 2),
+        "messages_per_s": int(len(m) / new_s),
+        "peak_kb": _peak_kb(new_fn, ft, m),
+        "reference_peak_kb": _peak_kb(old_fn, ft, m),
+    }
+
+
 def _measure_obs_overhead(quick=False, repeats=REPEATS):
     """Time the headline kernel with observability disabled (the default
     NULL_OBS path every existing call site takes) and with a fully
@@ -289,6 +329,7 @@ def run_bench(quick=False):
     # the batched case is millisecond-scale: always take best-of-3 so
     # the quick-mode ≥3× gate doesn't flap on a single noisy sample
     rows.append(_run_batched_case(repeats=max(repeats, 3)))
+    rows.append(_run_switchsim_case(256 if quick else 1024, repeats=max(repeats, 3)))
     overhead = _measure_obs_overhead(quick=quick, repeats=repeats)
     RESULTS_PATH.write_text(
         json.dumps(
@@ -306,8 +347,9 @@ def _gate_failures(rows, quick):
     Full mode gates the random_rank n=1024 headline (≥5×) and the
     greedy n=1024 case (≥5×); both modes gate greedy n=128 (≥2×), the
     batched case (≥3× over the serial per-set loop), Theorem 1 on local
-    traffic at n=1024 (≥10×) and Corollary 2 at n=1024 (≥3×), so the CI
-    ``--quick`` smoke enforces the latter four on every push.
+    traffic at n=1024 (≥10×), Corollary 2 at n=1024 (≥3×) and one
+    switch-simulator cycle (≥3×; n=256 quick, n=1024 full), so the CI
+    ``--quick`` smoke enforces the latter five on every push.
     """
     by_case = {row["case"]: row for row in rows}
 
@@ -328,6 +370,7 @@ def _gate_failures(rows, quick):
     check("batched random_rank B=32 n=256", 3.0, failures)
     check("thm1 local n=1024", 10.0, failures)
     check("cor2 uniform n=1024", 3.0, failures)
+    check(f"switchsim cycle uniform x4 n={256 if quick else 1024}", 3.0, failures)
     return failures
 
 
@@ -335,8 +378,9 @@ def test_vectorised_kernels_speedup(report):
     """The acceptance gates: ≥5× on schedule_random_rank and greedy at
     n=1024, ≥2× on greedy at n=128, ≥3× on batch_schedule over the
     serial per-set loop at B=32 n=256, ≥10× on Theorem 1 local traffic
-    and ≥3× on Corollary 2 at n=1024 — schedules bit-identical in every
-    case (asserted inside the timing harness)."""
+    and ≥3× on Corollary 2 at n=1024, ≥3× on one switch-simulator cycle
+    at n=1024 — schedules and frames bit-identical in every case
+    (asserted inside the timing harness)."""
     rows = run_bench(quick=False)
     report(rows, title="PERF — vectorised kernels vs pure-Python reference")
     headline = rows[0]
@@ -351,8 +395,8 @@ def main(argv=None):
         "--quick",
         action="store_true",
         help="small sizes, single repeat (CI smoke); skips the n=1024 "
-        "kernel gates but still enforces the greedy n=128, batched and "
-        "n=1024 scheduler ones",
+        "kernel gates but still enforces the greedy n=128, batched, "
+        "n=1024 scheduler and n=256 switch-simulator ones",
     )
     parser.add_argument(
         "--obs-gate",

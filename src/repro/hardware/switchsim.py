@@ -15,14 +15,29 @@ Two fidelity levels for the concentrators:
   capacity as α times the wire count, "which changes the results by only
   a constant factor".)
 
-Channel capacities are read *per channel* (:meth:`FatTree.chan_cap`), so
+The cycle is one array pass over the padded path rows of a
+:class:`~repro.perf.PathIndex`.  A message's row lists the channels it
+crosses, one per switch, so at tick ``t`` every surviving message sits
+at hop ``t`` of its row: the wavefront's hop-``t`` gids are one gather.
+Each tick groups the wavefront by gid (one bucket per node output port,
+in order of first arrival), charges one per-channel ``used`` vector
+that persists across the ticks of the cycle, and loops in Python only
+over the over-subscribed buckets, whose concentrators draw the
+arbitration shuffle.  Capacities are the index's per-channel vector, so
 a :class:`~repro.faults.DegradedFatTree` is simulated against its
 surviving wires; a tree whose fault model carries a transient
 ``loss_rate`` corrupts each switch traversal with that probability, in
 addition to the explicit ``fault_rate`` knob.  Every delivery cycle
 asserts the conservation invariant — delivered + congested + deferred
-partitions the injected multiset — so losses can never go silently
-unaccounted.
+partitions the injected rows — and that every delivered row's last hop
+is its destination leaf, so losses can never go silently unaccounted.
+
+The cycle returns row positions.  :class:`DeliveryReport` turns them
+into Fig. 2 frames (:class:`~repro.hardware.BitSerialMessage`, each
+address stripped by the switches it crossed) only when a frame list is
+read; the retry loop never reads them.  The per-frame simulator the
+array cycle replaced stays as :func:`_reference_run_delivery_cycle`,
+and the two agree frame for frame, in order, on every seed.
 
 The retry loop (:func:`run_until_delivered`) runs the shared delivery
 driver (:class:`~repro.core.delivery.DeliveryLoop`), which NACKs
@@ -42,6 +57,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,30 +66,125 @@ from ..core.errors import UnroutableError
 from ..core.fattree import Direction, FatTree
 from ..core.message import MessageSet
 from ..core.schedule import Schedule
-from .bitserial import BitSerialMessage
+from .bitserial import BitSerialMessage, encode_address
 from .node import Port, concentrate, select_output
+
+if TYPE_CHECKING:
+    from ..perf import PathIndex
 
 __all__ = ["DeliveryReport", "run_delivery_cycle", "run_until_delivered", "run_schedule"]
 
 
-@dataclass
-class DeliveryReport:
-    """Outcome of one delivery cycle."""
+@dataclass(frozen=True)
+class _Cycle:
+    """Row positions of one array delivery cycle.
 
-    delivered: list[BitSerialMessage]
-    congested: list[BitSerialMessage]
-    deferred: list[BitSerialMessage]
+    ``delivered`` lists self-messages first, then leaf arrivals in
+    wavefront order; ``congested`` lists each tick's losses bucket by
+    bucket, concentrator losers before transient faults, with the tick
+    of each in ``congested_at``; ``deferred`` rows were never injected.
+    """
+
+    delivered: np.ndarray
+    congested: np.ndarray
+    congested_at: np.ndarray
+    deferred: np.ndarray
     wave_ticks: int
-    payload_bits: int = 0
+
+
+class DeliveryReport:
+    """Outcome of one delivery cycle.
+
+    ``delivered``, ``congested`` (lost in a concentrator or to a
+    transient fault) and ``deferred`` (never injected) are lists of
+    Fig. 2 frames.  A report of :func:`run_delivery_cycle` holds row
+    positions and builds those lists when one is first read.
+    """
+
+    def __init__(
+        self,
+        delivered: list[BitSerialMessage],
+        congested: list[BitSerialMessage],
+        deferred: list[BitSerialMessage],
+        wave_ticks: int,
+        payload_bits: int = 0,
+    ) -> None:
+        self._frames: tuple[list, list, list] | None = (delivered, congested, deferred)
+        self._rows: tuple | None = None
+        self.wave_ticks = wave_ticks
+        self.payload_bits = payload_bits
+
+    @classmethod
+    def _of_cycle(cls, cycle: _Cycle, src, dst, depth: int, payload_bits: int):
+        """A report whose frames are built from ``cycle`` on first read
+        (``src``/``dst`` hold the endpoints of each row position)."""
+        report = cls([], [], [], cycle.wave_ticks, payload_bits)
+        report._frames = None
+        report._rows = (cycle, src, dst, depth)
+        return report
+
+    def _lists(self) -> tuple[list, list, list]:
+        if self._frames is None:
+            cycle, src, dst, depth = self._rows
+            src, dst = src.tolist(), dst.tolist()
+            payload = (0,) * self.payload_bits
+
+            def frames(rows, stripped):
+                return [
+                    BitSerialMessage(
+                        src[i], dst[i], encode_address(src[i], dst[i], depth)[k:], payload
+                    )
+                    for i, k in zip(rows.tolist(), stripped)
+                ]
+
+            # a delivered frame crossed every switch of its path; one
+            # congested at tick t lost t - 1 bits on the way there
+            self._frames = (
+                [BitSerialMessage(src[i], dst[i], [], payload) for i in cycle.delivered.tolist()],
+                frames(cycle.congested, (cycle.congested_at - 1).tolist()),
+                frames(cycle.deferred, [0] * cycle.deferred.size),
+            )
+            self._rows = None
+        return self._frames
+
+    @property
+    def delivered(self) -> list[BitSerialMessage]:
+        return self._lists()[0]
+
+    @property
+    def congested(self) -> list[BitSerialMessage]:
+        return self._lists()[1]
+
+    @property
+    def deferred(self) -> list[BitSerialMessage]:
+        return self._lists()[2]
 
     @property
     def losses(self) -> int:
-        return len(self.congested) + len(self.deferred)
+        if self._frames is None:
+            cycle = self._rows[0]
+            return int(cycle.congested.size + cycle.deferred.size)
+        return len(self._frames[1]) + len(self._frames[2])
 
     def cycle_bit_time(self) -> int:
         """Wall-clock bit-times for the cycle: the head needs one tick per
         switch, and the pipelined tail (M bit + payload) drains behind it."""
         return self.wave_ticks + 1 + self.payload_bits
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DeliveryReport):
+            return NotImplemented
+        return (self._lists(), self.wave_ticks, self.payload_bits) == (
+            other._lists(), other.wave_ticks, other.payload_bits
+        )
+
+    def __repr__(self) -> str:
+        delivered, congested, deferred = self._lists()
+        return (
+            f"DeliveryReport(delivered={delivered!r}, congested={congested!r}, "
+            f"deferred={deferred!r}, wave_ticks={self.wave_ticks}, "
+            f"payload_bits={self.payload_bits})"
+        )
 
 
 def _effective_capacity(cap: int, concentrators: str) -> int:
@@ -84,6 +195,248 @@ def _effective_capacity(cap: int, concentrators: str) -> int:
     if concentrators == "pippenger":
         return max(1, math.floor(0.75 * cap))
     raise ValueError(f"unknown concentrator model {concentrators!r}")
+
+
+def _effective_caps(caps: np.ndarray, concentrators: str) -> np.ndarray:
+    """:func:`_effective_capacity` over a path index's capacity vector."""
+    if concentrators != "pippenger":
+        return caps
+    out = caps.copy()
+    wired = caps[2:]  # gids 0 and 1 are the padding slot's, never a hop
+    out[2:] = np.where(wired > 0, np.maximum(1, (3 * wired) // 4), 0)
+    return out
+
+
+def _transient_faults(
+    ft: FatTree, concentrators: str, seed: int | None, fault_rate: float
+) -> tuple[np.random.Generator | None, float]:
+    """Validate the cycle's fault knobs; returns its ``(rng, loss_rate)``.
+
+    Transient faults (``fault_rate``, or a degraded tree's
+    ``loss_rate``) need random draws, so they default ``seed`` to 0.
+    """
+    if concentrators not in ("ideal", "pippenger", "faulty"):
+        raise ValueError(f"unknown concentrator model {concentrators!r}")
+    if concentrators == "faulty":
+        if not (0.0 <= fault_rate < 1.0):
+            raise ValueError("fault_rate must be in [0, 1)")
+        if seed is None:
+            seed = 0
+    elif fault_rate:
+        raise ValueError('fault_rate requires concentrators="faulty"')
+    loss_rate = fault_rate
+    if not loss_rate:
+        model = getattr(ft, "faults", None)
+        if model is not None and model.loss_rate:
+            loss_rate = model.loss_rate
+            if seed is None:
+                seed = 0
+    rng = np.random.default_rng(seed) if seed is not None else None
+    return rng, loss_rate
+
+
+def _runs(ranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal values in sorted ``ranked``."""
+    edge = np.empty(ranked.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return bounds[:-1], np.diff(bounds)
+
+
+def _occurrence(keys: np.ndarray) -> np.ndarray:
+    """Per element, how many earlier elements share its key."""
+    order = np.argsort(keys, kind="stable")
+    head, size = _runs(keys[order])
+    out = np.empty(keys.size, dtype=np.int64)
+    out[order] = np.arange(keys.size) - np.repeat(head, size)
+    return out
+
+
+def _array_cycle(
+    paths: np.ndarray,
+    path_len: np.ndarray,
+    caps: np.ndarray,
+    dst: np.ndarray,
+    depth: int,
+    rng: np.random.Generator | None,
+    loss_rate: float,
+) -> _Cycle:
+    """One delivery cycle of the rows ``paths`` (a :class:`PathIndex`
+    row subset) against effective capacities ``caps``.
+
+    Draws from ``rng`` exactly as :func:`_reference_run_delivery_cycle`
+    does: one shuffle per over-subscribed bucket (free capacity 0
+    included), then one ``random()`` per winner, buckets in order.
+    """
+    from ..perf import PAD_GID
+
+    m = path_len.size
+    # injection: a processor's up channel (hop 0) admits its first
+    # cap heads in row order; it is not charged to ``used``
+    pending = np.flatnonzero(path_len > 0)
+    leaf = paths[pending, 0]
+    held = _occurrence(leaf) >= caps[leaf]
+    deferred = pending[held]
+    wave = pending[~held]
+    up = path_len // 2
+    # channels are circuit-switched: a message holds its wire for the
+    # whole delivery cycle, so capacity is consumed per cycle, not per
+    # tick — the load(M, c) <= cap(c) accounting of §III
+    used = np.zeros(caps.size, dtype=np.int64)
+    delivered = [np.flatnonzero(path_len == 0)]  # self-messages
+    congested: list[np.ndarray] = []
+    congested_at: list[np.ndarray] = []
+    t = 0
+    while wave.size:
+        t += 1
+        u = up[wave]
+        gids = paths[wave, np.where(t < u, t, 2 * depth - 2 * u + t)]
+        if (gids == PAD_GID).any():
+            raise AssertionError("internal message tried to leave through the root")
+        # buckets by first arrival; candidates keep arrival order
+        by_gid = np.argsort(gids, kind="stable")
+        ranked = gids[by_gid]
+        head, size = _runs(ranked)
+        first = np.argsort(by_gid[head], kind="stable")
+        head, size = head[first], size[first]
+        bucket = ranked[head]
+        start = np.cumsum(size) - size
+        slot = np.arange(gids.size) - np.repeat(start, size)
+        wave = wave[by_gid[np.repeat(head, size) + slot]]
+        rank = np.repeat(np.arange(bucket.size), size)
+        free = caps[bucket] - used[bucket]
+        win = slot < np.repeat(free, size)
+        lost = np.zeros(wave.size, dtype=bool)
+        if rng is not None:
+            drawn = 0  # loss draws taken up to this wavefront position
+            for b in np.flatnonzero(size > free).tolist():
+                s, k, f = int(start[b]), int(size[b]), int(free[b])
+                if loss_rate:
+                    lost[drawn:s] = rng.random(s - drawn) < loss_rate
+                order = list(range(k))
+                rng.shuffle(order)
+                winners = s + np.asarray(sorted(order[:f]), dtype=np.int64)
+                win[s : s + k] = False
+                win[winners] = True
+                if loss_rate:
+                    lost[winners] = rng.random(f) < loss_rate
+                drawn = s + k
+            if loss_rate:
+                lost[drawn:] = rng.random(wave.size - drawn) < loss_rate
+        ok = win & ~lost
+        used[bucket] += np.bincount(rank[ok], minlength=bucket.size)
+        failed = np.flatnonzero(~ok)
+        if failed.size:
+            # per bucket: the concentrator's losers, then transient faults
+            failed = failed[np.argsort(2 * rank[failed] + lost[failed], kind="stable")]
+            congested.append(wave[failed])
+            congested_at.append(np.full(failed.size, t, dtype=np.int64))
+        wave = wave[ok]
+        arrived = path_len[wave] == t + 1
+        delivered.append(wave[arrived])
+        wave = wave[~arrived]
+    cycle = _Cycle(
+        np.concatenate(delivered),
+        np.concatenate(congested) if congested else np.zeros(0, dtype=np.int64),
+        np.concatenate(congested_at) if congested else np.zeros(0, dtype=np.int64),
+        deferred,
+        t,
+    )
+    landed = cycle.delivered[path_len[cycle.delivered] > 0]
+    leaf_down = ((((1 << depth) - 1) + dst[landed]) << 1) | 1
+    wrong = landed[paths[landed, 2 * depth - 1] != leaf_down]
+    if wrong.size:
+        raise AssertionError(
+            f"misrouted message to leaf {int(dst[wrong[0]])} at row {int(wrong[0])}"
+        )
+    seen = np.bincount(
+        np.concatenate([cycle.delivered, cycle.congested, cycle.deferred]), minlength=m
+    )
+    if (seen != 1).any():
+        raise AssertionError(
+            "delivery-cycle accounting violated: delivered + congested + "
+            "deferred must partition the injected rows "
+            f"(missing={np.flatnonzero(seen == 0).tolist()}, "
+            f"repeated={np.flatnonzero(seen > 1).tolist()})"
+        )
+    return cycle
+
+
+def _run_cycle(
+    ft: FatTree,
+    index: PathIndex,
+    rows: np.ndarray | None,
+    src: np.ndarray,
+    dst: np.ndarray,
+    *,
+    concentrators: str,
+    seed: int | None,
+    payload_bits: int,
+    fault_rate: float,
+    obs,
+) -> tuple[_Cycle, DeliveryReport]:
+    """One array cycle of ``index`` rows ``rows`` (``None``: all), whose
+    endpoints are ``src``/``dst``; returns it and its lazy report."""
+    from ..obs import resolve_obs
+
+    rng, loss_rate = _transient_faults(ft, concentrators, seed, fault_rate)
+    paths, path_len = index.paths, index.path_len
+    if rows is not None:
+        paths, path_len = paths[rows], path_len[rows]
+    cycle = _array_cycle(
+        paths, path_len, _effective_caps(index.caps, concentrators), dst,
+        ft.depth, rng, loss_rate,
+    )
+    resolve_obs(obs).metrics.observe("switchsim.wave_ticks", cycle.wave_ticks)
+    return cycle, DeliveryReport._of_cycle(cycle, src, dst, ft.depth, payload_bits)
+
+
+def run_delivery_cycle(
+    ft: FatTree,
+    messages: MessageSet,
+    *,
+    concentrators: str = "ideal",
+    seed: int | None = None,
+    payload_bits: int = 0,
+    fault_rate: float = 0.0,
+    obs=None,
+) -> DeliveryReport:
+    """Simulate one delivery cycle of ``messages`` on ``ft``.
+
+    Returns delivered / congested (lost in a concentrator) / deferred
+    (never injected: a processor may start at most ``cap(lg n)`` messages
+    per cycle on its channel) messages plus the tick count.  Frame for
+    frame, in order, the report equals that of
+    :func:`_reference_run_delivery_cycle` on the same arguments.
+
+    ``concentrators="faulty"`` (with ``fault_rate`` > 0) models transient
+    switch faults: each switch traversal independently drops the message
+    with the given probability, exercising the §II acknowledge-and-retry
+    mechanism beyond pure congestion.  A degraded tree whose
+    :class:`~repro.faults.FaultModel` carries a ``loss_rate`` applies the
+    same per-traversal corruption under any concentrator model.
+
+    The paths come from a fresh :class:`~repro.perf.PathIndex`, not the
+    tree's index cache.  ``obs`` (default: the module-level
+    :func:`~repro.obs.get_default_obs`) receives the wave-tick
+    histogram; the per-cycle record is the caller's
+    (:func:`run_until_delivered`, :func:`run_schedule`).
+    """
+    from ..perf import PathIndex
+
+    return _run_cycle(
+        ft,
+        PathIndex(ft, messages),
+        None,
+        messages.src,
+        messages.dst,
+        concentrators=concentrators,
+        seed=seed,
+        payload_bits=payload_bits,
+        fault_rate=fault_rate,
+        obs=obs,
+    )[1]
 
 
 def _assert_conserved(
@@ -109,7 +462,7 @@ def _assert_conserved(
         )
 
 
-def run_delivery_cycle(
+def _reference_run_delivery_cycle(
     ft: FatTree,
     messages: MessageSet,
     *,
@@ -119,44 +472,19 @@ def run_delivery_cycle(
     fault_rate: float = 0.0,
     obs=None,
 ) -> DeliveryReport:
-    """Simulate one delivery cycle of ``messages`` on ``ft``.
+    """The per-frame oracle of :func:`run_delivery_cycle`, bit-identical.
 
-    Returns delivered / congested (lost in a concentrator) / deferred
-    (never injected: a processor may start at most ``cap(lg n)`` messages
-    per cycle on its channel) messages plus the tick count.
-
-    ``concentrators="faulty"`` (with ``fault_rate`` > 0) models transient
-    switch faults: each switch traversal independently drops the message
-    with the given probability, exercising the §II acknowledge-and-retry
-    mechanism beyond pure congestion.  A degraded tree whose
-    :class:`~repro.faults.FaultModel` carries a ``loss_rate`` applies the
-    same per-traversal corruption under any concentrator model.
-
-    ``obs`` (default: the module-level
-    :func:`~repro.obs.get_default_obs`) receives the wave-tick
-    histogram; the per-cycle record is the caller's
-    (:func:`run_until_delivered`, :func:`run_schedule`).
+    Walks Fig. 2 frames through Fig. 3 nodes one by one: the selector
+    picks each frame's output port, a dict buckets the frames per port,
+    :func:`~repro.hardware.concentrate` arbitrates and each winner's
+    leading address bit is stripped.  Capacities are read per channel
+    with :meth:`FatTree.chan_cap`.  Same arguments, same report: every
+    frame list equal in order, and the same ``wave_ticks``.
     """
     if messages.n != ft.n:
         raise ValueError("message set and fat-tree disagree on n")
-    if concentrators not in ("ideal", "pippenger", "faulty"):
-        raise ValueError(f"unknown concentrator model {concentrators!r}")
-    if concentrators == "faulty":
-        if not (0.0 <= fault_rate < 1.0):
-            raise ValueError("fault_rate must be in [0, 1)")
-        if seed is None:
-            seed = 0
-    elif fault_rate:
-        raise ValueError('fault_rate requires concentrators="faulty"')
-    loss_rate = fault_rate
-    if not loss_rate:
-        model = getattr(ft, "faults", None)
-        if model is not None and model.loss_rate:
-            loss_rate = model.loss_rate
-            if seed is None:
-                seed = 0
+    rng, loss_rate = _transient_faults(ft, concentrators, seed, fault_rate)
     depth = ft.depth
-    rng = np.random.default_rng(seed) if seed is not None else None
 
     frames = [
         BitSerialMessage.make(int(s), int(d), depth, payload=(0,) * payload_bits)
@@ -181,10 +509,6 @@ def run_delivery_cycle(
         parent = (depth - 1, f.src >> 1)
         wavefront.append((parent[0], parent[1], Port(f"L{f.src & 1}"), f))
 
-    # Channels are circuit-switched: a message holds its wire for the
-    # whole delivery cycle (the tail follows the head), so capacity is
-    # consumed per cycle, not per tick — exactly the load(M, c) <= cap(c)
-    # accounting of §III.
     used: dict[tuple[int, int, Port], int] = {}
     congested: list[BitSerialMessage] = []
     ticks = 0
@@ -371,8 +695,18 @@ def run_until_delivered(
 
 
 class _SwitchSim(DeliveryLoop):
-    """One bit-serial delivery cycle per loop cycle; frames map back to
-    message rows by ``(src, dst)``."""
+    """One array delivery cycle per loop cycle, over the loop's path index.
+
+    The cycle returns positions in ``rows``; they map back to message
+    rows as the frame simulator's ``(src, dst)`` buckets did.  Among the
+    rows of one ``(src, dst)`` pair, the pair's delivered messages take
+    its highest rows, in delivery order, and its congested messages the
+    next highest, in congestion order; deferred messages keep the
+    lowest.  Which row of a duplicate pair is charged the attempt and
+    the backoff changes the later cycles, so
+    ``tests/corpus/delivery_golden.jsonl`` pins this mapping.  Failed
+    rows stay in congestion order, the order of the backoff draws.
+    """
 
     def __init__(self, ft, messages, index, *, seed, cycle_args, **loop_args):
         super().__init__(ft, messages, index, **loop_args)
@@ -385,22 +719,21 @@ class _SwitchSim(DeliveryLoop):
         if rows.size == 0:
             return IDLE
         ft, ms = self.ft, self.messages
-        report = run_delivery_cycle(
-            ft,
-            MessageSet(ms.src[rows], ms.dst[rows], ft.n),
-            seed=self.seed + t,
-            obs=self.obs,
+        src, dst = ms.src[rows], ms.dst[rows]
+        cycle, report = _run_cycle(
+            ft, self.index, rows, src, dst, seed=self.seed + t, obs=self.obs,
             **self.cycle_args,
         )
         self.reports[t] = report
-        # map report frames back to message rows ((src, dst) multiset)
-        buckets: dict[tuple[int, int], list[int]] = {}
-        for i, s, d in zip(rows.tolist(), ms.src[rows].tolist(), ms.dst[rows].tolist()):
-            buckets.setdefault((s, d), []).append(i)
-        done = [buckets[(f.src, f.dst)].pop() for f in report.delivered]
-        failed = [buckets[(f.src, f.dst)].pop() for f in report.congested]
-        delivered = np.asarray(sorted(done), dtype=np.int64)
-        failed_rows = np.asarray(failed, dtype=np.int64)
+        # the k-th of a pair's delivered-then-congested messages takes
+        # the pair's k-th highest row
+        pair = src * ft.n + dst
+        by_pair = np.argsort(pair, kind="stable")
+        taken = np.concatenate([cycle.delivered, cycle.congested])
+        top = np.searchsorted(pair[by_pair], pair[taken], side="right") - 1
+        mapped = rows[by_pair[top - _occurrence(pair[taken])]]
+        delivered = np.sort(mapped[: cycle.delivered.size], kind="stable")
+        failed_rows = mapped[cycle.delivered.size :]
         model = getattr(ft, "faults", None)
         return Attempt(
             np.concatenate([delivered, failed_rows]),
@@ -410,7 +743,7 @@ class _SwitchSim(DeliveryLoop):
             lossy=bool(self.cycle_args["fault_rate"])
             or (model is not None and model.loss_rate > 0),
             trace={
-                "wave_ticks": report.wave_ticks,
+                "wave_ticks": cycle.wave_ticks,
                 "concentrators": self.cycle_args["concentrators"],
             },
         )

@@ -36,9 +36,11 @@ from repro.core import (
     schedule_theorem1,
     simulate_online_retry,
 )
+from repro.core.delivery import NO_ROWS, Attempt, DeliveryLoop
 from repro.hardware.buffered import run_store_and_forward
 from repro.hardware.switchsim import run_schedule, run_until_delivered
-from repro.obs import Obs
+from repro.obs import NULL_OBS, Obs
+from repro.perf import PathIndex
 from repro.perf.batch import batch_schedule
 from repro.workloads import uniform_random
 
@@ -70,16 +72,21 @@ class TestBudgetRaisesDeliveryTimeout:
 
     def test_switchsim_no_progress(self):
         """A loss-free cycle that delivers nothing can never make
-        progress (only a tree whose switches disagree with its path
-        index gets here)."""
+        progress.  The switch simulator reads its capacities from the
+        path index that also answers routability, so no tree reaches
+        this; a cycle that injects nothing (every row deferred) does."""
 
-        class DeadSwitches(FatTree):
-            def chan_cap(self, level, index, direction):
-                return 0
+        class NeverInjects(DeliveryLoop):
+            def attempt(self, rows, t):
+                return Attempt(NO_ROWS, NO_ROWS, NO_ROWS)
 
-        ft = DeadSwitches(8, ConstantCapacity(3, 1))
+        ft = FatTree(8, ConstantCapacity(3, 1))
+        m = MessageSet([0, 1], [7, 6], 8)
+        loop = NeverInjects(
+            ft, m, PathIndex(ft, m), scheduler="switchsim", max_cycles=10_000, obs=NULL_OBS
+        )
         with pytest.raises(DeliveryTimeout) as exc:
-            run_until_delivered(ft, MessageSet([0, 1], [7, 6], 8))
+            loop.run()
         assert exc.value.cycles == 0
         assert exc.value.undelivered == [(0, 7), (1, 6)]
         assert exc.value.attempts == {0: 2}  # never injected: no attempt
