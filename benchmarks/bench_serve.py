@@ -2,16 +2,16 @@
 
 Drives the :mod:`repro.serve` engine (PR 8) as a closed-loop client:
 pre-generated uniform-random route requests are pushed through
-``ServeEngine.submit`` with a bounded in-flight window, so the batcher
-coalesces compatible requests into ``batch_schedule`` dispatches across
-a real process shard pool.  Recorded into ``BENCH_SERVE.json`` at the
+``ServeEngine.submit`` with a bounded number in flight, so while every
+shard is busy the batcher coalesces compatible requests into
+``batch_schedule`` dispatches across a real process shard pool.  Recorded into ``BENCH_SERVE.json`` at the
 repository root:
 
 - **requests/min sustained** — completed requests over the steady-state
   wall clock (a warmup slice is excluded so pool spin-up does not count
   against the sustained figure).
 - **p50 / p99 latency** — per-request submit→response time, which
-  includes admission, batching delay (the coalescing window), pickling
+  includes admission, time parked while every shard is busy, pickling
   to the shard, scheduling, and the response trip back.
 
 Acceptance gate: ≥10,000 schedule requests/min sustained at ``n = 256``
@@ -47,7 +47,7 @@ def _percentile(sorted_vals, q):
 
 
 def _serve_case(n, *, shards, requests, messages, warmup, max_batch,
-                window_s, kernel="greedy", seed=0):
+                kernel="greedy", seed=0):
     """Run one closed-loop load point; return its results row."""
     from repro.serve import RouteRequest, ServeConfig, ServeEngine
     from repro.workloads import uniform_random
@@ -58,7 +58,6 @@ def _serve_case(n, *, shards, requests, messages, warmup, max_batch,
         lambda_ceiling=1e9,  # throughput point: admission never refuses
         max_pending=requests + warmup + 1,
         max_batch=max_batch,
-        batch_window_s=window_s,
     )
     engine = ServeEngine(cfg)
     # pre-generate every request outside the timed region: the bench
@@ -79,8 +78,8 @@ def _serve_case(n, *, shards, requests, messages, warmup, max_batch,
     latencies = []  # steady-state only, seconds
 
     async def drive():
-        # closed loop: up to 2×max_batch requests in flight keeps the
-        # coalescing window saturated without unbounded queueing
+        # closed loop: up to 2×max_batch requests in flight keeps every
+        # shard busy, so groups fill, without unbounded queueing
         gate = asyncio.Semaphore(2 * max_batch)
 
         async def one(i, req):
@@ -132,19 +131,19 @@ def run_bench(quick=False):
     if quick:
         cases = [
             dict(n=64, shards=2, requests=120, messages=32, warmup=24,
-                 max_batch=16, window_s=0.004),
+                 max_batch=16),
         ]
     else:
         cases = [
             # the headline point: n=256, 64-message sets, 2 shards
             dict(n=256, shards=2, requests=600, messages=64, warmup=60,
-                 max_batch=32, window_s=0.004),
+                 max_batch=32),
             # inline (no pool) isolates the pickling/IPC cost
             dict(n=256, shards=0, requests=300, messages=64, warmup=30,
-                 max_batch=32, window_s=0.004),
+                 max_batch=32),
             # random-rank kernel at the same point
             dict(n=256, shards=2, requests=300, messages=64, warmup=30,
-                 max_batch=32, window_s=0.004, kernel="random_rank"),
+                 max_batch=32, kernel="random_rank"),
         ]
     rows = [_serve_case(**case) for case in cases]
     RESULTS_PATH.write_text(

@@ -766,7 +766,6 @@ def cmd_serve(args) -> int:
         lambda_ceiling=args.lambda_ceiling,
         max_pending=args.max_pending,
         max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1e3,
     )
     tenants = {}
     for spec in args.tenant or []:
@@ -1058,11 +1057,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-batch", type=int, default=32,
-        help="requests coalesced into one batch_schedule call",
-    )
-    p.add_argument(
-        "--batch-window-ms", type=float, default=5.0,
-        help="max time a request waits for batch-mates",
+        help="max requests coalesced into one batch_schedule call "
+        "(requests coalesce only while every shard is busy)",
     )
     p.add_argument(
         "--seed", type=int, default=0, help="fault-model seed for --tenant"

@@ -16,7 +16,9 @@ bound or hanging clients.
 agree on (tenant, kernel, order, seed, detail) may ride one
 :func:`~repro.perf.batch.batch_schedule` call, whose kernels are
 bit-identical to solo calls, so coalescing is pure throughput: it never
-changes a response.
+changes a response.  The batcher holds groups; when they ship is the
+daemon's call (at once while a shard slot is free, else on fullness or
+a freed slot).
 
 Both classes are deliberately not thread-safe: the daemon mutates them
 only from its single asyncio event loop, which serialises access.
@@ -114,8 +116,9 @@ class RequestBatcher:
     """Groups admitted requests by compatibility key until dispatch.
 
     The daemon adds requests as they arrive and drains a whole group at
-    once — either when it reaches ``max_batch`` (the add reports
-    fullness) or when the group's batching window expires.
+    once — at once while a shard slot is free, when the group reaches
+    ``max_batch`` (the add reports fullness), or, oldest group first
+    (:meth:`oldest_key`), when a dispatch completes.
     """
 
     def __init__(self, *, max_batch: int) -> None:
@@ -124,31 +127,20 @@ class RequestBatcher:
         self.max_batch = int(max_batch)
         self._groups: dict[tuple, list[PendingRequest]] = {}
 
-    def add(self, pending: PendingRequest) -> tuple[bool, bool]:
-        """File ``pending`` under its compat key.
-
-        Returns ``(is_first, is_full)``: *is_first* means a new group
-        was opened (the caller should arm its flush timer), *is_full*
-        means the group just reached ``max_batch`` (the caller should
-        drain it now rather than wait for the timer).
-        """
-        key = pending.request.compat_key()
-        group = self._groups.get(key)
-        if group is None:
-            group = []
-            self._groups[key] = group
+    def add(self, pending: PendingRequest) -> bool:
+        """File ``pending`` under its compat key; True once the group
+        has reached ``max_batch`` (the caller should drain it now)."""
+        group = self._groups.setdefault(pending.request.compat_key(), [])
         group.append(pending)
-        return (len(group) == 1, len(group) >= self.max_batch)
+        return len(group) >= self.max_batch
 
     def drain(self, key: tuple) -> list[PendingRequest]:
         """Remove and return the group under ``key`` (empty if gone)."""
         return self._groups.pop(key, [])
 
-    def drain_all(self) -> list[list[PendingRequest]]:
-        """Remove and return every non-empty group (shutdown path)."""
-        groups = [g for g in self._groups.values() if g]
-        self._groups.clear()
-        return groups
+    def oldest_key(self) -> tuple | None:
+        """The key of the group opened first among those parked, if any."""
+        return next(iter(self._groups), None)
 
     def __len__(self) -> int:
         return sum(len(g) for g in self._groups.values())

@@ -73,25 +73,29 @@ class TestRequestBatcher:
         assert [p.request.id for p in same] == ["1", "2"]
         assert len(b) == 1
 
-    def test_first_and_full_signals(self):
+    def test_full_signal(self):
         b = RequestBatcher(max_batch=2)
-        assert b.add(pending(1)) == (True, False)
-        assert b.add(pending(2)) == (False, True)
+        assert b.add(pending(1)) is False
+        assert b.add(pending(2)) is True
         b.drain(req(1).compat_key())
-        # a fresh group after draining signals first again
-        assert b.add(pending(3)) == (True, False)
+        # a fresh group after draining starts empty again
+        assert b.add(pending(3)) is False
+
+    def test_oldest_key_follows_group_open_order(self):
+        b = RequestBatcher(max_batch=8)
+        assert b.oldest_key() is None
+        b.add(pending(1, seed=1))
+        b.add(pending(2, seed=0))
+        b.add(pending(3, seed=1))
+        assert b.oldest_key() == req(0, seed=1).compat_key()
+        b.drain(req(0, seed=1).compat_key())
+        assert b.oldest_key() == req(0, seed=0).compat_key()
+        b.drain(req(0, seed=0).compat_key())
+        assert b.oldest_key() is None
 
     def test_drain_missing_key_is_empty(self):
         b = RequestBatcher(max_batch=2)
         assert b.drain(("nope",)) == []
-
-    def test_drain_all_clears_everything(self):
-        b = RequestBatcher(max_batch=8)
-        b.add(pending(1, seed=0))
-        b.add(pending(2, seed=1))
-        groups = b.drain_all()
-        assert sorted(len(g) for g in groups) == [1, 1]
-        assert len(b) == 0
 
     def test_invalid_max_batch(self):
         with pytest.raises(ValueError):

@@ -12,6 +12,7 @@ import asyncio
 import json
 import os
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -85,7 +86,6 @@ class TestEndToEnd:
             lambda_ceiling=1e9,
             max_pending=10_000,
             max_batch=16,
-            batch_window_s=0.01,
         )
         engine = ServeEngine(cfg, tenants={"spotty": spotty_tree()})
         cases = []  # (request, message_set, expect_unroutable)
@@ -141,7 +141,7 @@ class TestEndToEnd:
         assert 0 < dispatches < len(cases)
 
     def test_worker_metrics_merge_into_engine(self):
-        cfg = ServeConfig(n=16, shards=2, batch_window_s=0.002, max_batch=8)
+        cfg = ServeConfig(n=16, shards=2, max_batch=8)
         engine = ServeEngine(cfg)
         reqs = [
             as_request(i, uniform_random(16, 8, seed=i), tenant="default",
@@ -176,7 +176,7 @@ class TestWorkerDeath:
     def test_daemon_outlives_a_dead_worker(self):
         """The dispatch whose worker died answers 500; the daemon then
         serves the next request on a fresh pool instead of failing it."""
-        cfg = ServeConfig(n=N, shards=1, batch_window_s=0.001)
+        cfg = ServeConfig(n=N, shards=1)
         engine = ServeEngine(cfg, tenants={"poison": _WorkerKillingTree(N)})
         ms = routable_set(3)
 
@@ -207,7 +207,6 @@ class TestBackpressure:
             lambda_ceiling=4.5,
             max_pending=10_000,
             max_batch=64,
-            batch_window_s=0.05,
         )
         engine = ServeEngine(cfg)
         # every request has λ = 4.0 (4 identical messages saturating one
@@ -239,7 +238,7 @@ class TestBackpressure:
     def test_queue_full_returns_503(self):
         cfg = ServeConfig(
             n=N, shards=0, lambda_ceiling=1e9, max_pending=2,
-            max_batch=64, batch_window_s=0.05,
+            max_batch=64,
         )
         engine = ServeEngine(cfg)
         reqs = [
@@ -260,10 +259,151 @@ class TestBackpressure:
         assert sum(1 for r in responses if r["ok"]) >= 1
 
 
+class _HandPool:
+    """A shard pool whose dispatches the test completes by hand."""
+
+    def __init__(self):
+        self.dispatched = []  # (payload, future) in submit order
+
+    def submit(self, payload):
+        future = Future()
+        self.dispatched.append((payload, future))
+        return future
+
+    def ids(self, i):
+        """The request ids of dispatch ``i``, by their source endpoints."""
+        return [src[0] for src, _ in self.dispatched[i][0]["sets"]]
+
+    def complete(self, i):
+        payload, future = self.dispatched[i]
+        future.set_result({
+            "results": [
+                {"ok": True, "num_cycles": 1, "delivered": len(src), "n_self": 0}
+                for src, _ in payload["sets"]
+            ],
+            "metrics": None,
+        })
+
+    def fail(self, i):
+        self.dispatched[i][1].set_exception(RuntimeError("worker died"))
+
+    def close(self):
+        pass
+
+
+def hand_engine():
+    """A two-slot engine (max_batch 4) whose pool is a :class:`_HandPool`."""
+    engine = ServeEngine(ServeConfig(n=N, shards=2, max_batch=4))
+    engine.pool.close()
+    engine.pool = _HandPool()
+    return engine, engine.pool
+
+
+async def turn():
+    """Let every callback and task the last step readied run."""
+    for _ in range(10):
+        await asyncio.sleep(0)
+
+
+class TestDispatchWhenSlotFree:
+    """Backpressure batching, step by step against a hand-driven pool:
+    ship at once while a slot is free, park while every slot is busy,
+    and on each completion ship the oldest parked group whole."""
+
+    def test_scheduling(self):
+        engine, pool = hand_engine()
+        assert engine.slots == 2
+
+        async def drive():
+            answers = {}
+
+            def send(leaf, seed):
+                # each request's one source leaf doubles as its id
+                req = RouteRequest(id=str(leaf), src=(leaf,), dst=(0,), seed=seed)
+                answers[leaf] = asyncio.ensure_future(engine.submit(req))
+
+            # a lone request ships at once, as a batch of 1
+            send(1, seed=0)
+            await turn()
+            assert len(pool.dispatched) == 1 and pool.ids(0) == [1]
+            send(2, seed=1)
+            await turn()
+            assert pool.ids(1) == [2] and engine.in_flight == 2
+
+            # every slot busy: three same-key requests and one other park
+            for leaf in (3, 4, 5):
+                send(leaf, seed=2)
+            send(6, seed=3)
+            await turn()
+            assert len(pool.dispatched) == 2 and len(engine.batcher) == 4
+
+            # a freed slot ships the oldest group whole …
+            pool.complete(0)
+            await turn()
+            assert answers[1].result()["ok"] is True
+            assert len(pool.dispatched) == 3 and pool.ids(2) == [3, 4, 5]
+            # … and the other group ships on the next completion
+            pool.complete(1)
+            await turn()
+            assert len(pool.dispatched) == 4 and pool.ids(3) == [6]
+            assert engine.in_flight == 2 and len(engine.batcher) == 0
+
+            # a failed dispatch still frees its slot for the next group
+            send(7, seed=4)
+            await turn()
+            assert len(pool.dispatched) == 4
+            pool.fail(2)
+            await turn()
+            assert [answers[leaf].result()["code"] for leaf in (3, 4, 5)] == [
+                CODE_INTERNAL
+            ] * 3
+            assert len(pool.dispatched) == 5 and pool.ids(4) == [7]
+
+            # a group that reaches max_batch ships while every slot is busy
+            for leaf in (8, 9, 10, 11):
+                send(leaf, seed=5)
+            await turn()
+            assert len(pool.dispatched) == 6 and pool.ids(5) == [8, 9, 10, 11]
+            assert engine.in_flight == 3
+
+            for i in (3, 4, 5):
+                pool.complete(i)
+            await turn()
+            assert len(pool.dispatched) == 6
+            return {leaf: t.result() for leaf, t in answers.items()}
+
+        try:
+            answers = run(drive(), timeout=60)
+        finally:
+            engine.close()
+        assert len(engine.batcher) == 0 and engine.in_flight == 0
+        ok = sorted(leaf for leaf, r in answers.items() if r["ok"])
+        assert ok == [1, 2, 6, 7, 8, 9, 10, 11]
+
+    def test_loop_shutdown_ships_no_parked_group(self):
+        """Tearing the loop down with dispatches in flight (as SIGINT
+        does) frees their slots without shipping the parked group."""
+        engine, pool = hand_engine()
+
+        async def drive():
+            for leaf in (1, 2, 3):
+                req = RouteRequest(id=str(leaf), src=(leaf,), dst=(0,), seed=leaf)
+                asyncio.ensure_future(engine.submit(req))
+            await turn()
+            # return with every dispatch pending: asyncio.run cancels them
+
+        try:
+            run(drive(), timeout=60)
+        finally:
+            engine.close()
+        assert len(pool.dispatched) == 2 and len(engine.batcher) == 1
+        assert engine.in_flight == 0
+
+
 class TestRequestValidation:
     @pytest.fixture()
     def engine(self):
-        eng = ServeEngine(ServeConfig(n=16, shards=0, batch_window_s=0.001))
+        eng = ServeEngine(ServeConfig(n=16, shards=0))
         yield eng
         eng.close()
 
