@@ -159,6 +159,28 @@ class TestBatchEdges:
             )
         assert str(batched.value) == str(serial.value)
 
+    def test_delivery_timeout_lowest_index_wins(self):
+        """A higher-index set that times out *earlier* must not win: the
+        batch raises the serial loop's error, the lowest-index set's."""
+        ft = FatTree(8, ConstantCapacity(3, 1))
+        sets = [
+            MessageSet.from_pairs([(0, 7)] * 12, 8),
+            MessageSet.from_pairs([(1, 6)] * 3, 8),
+        ]
+        kw = dict(
+            kernel="random_rank", seed=5, loss_rate=0.9, max_backoff=4096,
+            max_cycles=30,
+        )
+        with pytest.raises(DeliveryTimeout) as serial:
+            _reference_batch_schedule(ft, sets, **kw)
+        with pytest.raises(DeliveryTimeout) as alone:
+            _reference_batch_schedule(ft, sets[1:], **kw)
+        assert alone.value.cycles < serial.value.cycles
+        with pytest.raises(DeliveryTimeout) as batched:
+            batch_schedule(ft, sets, **kw)
+        assert str(batched.value) == str(serial.value)
+        assert batched.value.attempts == serial.value.attempts
+
     def test_tracing_does_not_perturb(self):
         """An enabled Obs must leave every schedule bit-identical (the
         instrumentation is RNG-neutral)."""
@@ -188,6 +210,48 @@ class TestBatchEdges:
         ):
             solo = schedule_random_rank(ft, ms, seed=9)
             assert _exact_cycles(got) == _exact_cycles(solo)
+
+
+_RECORD_FIELDS = (
+    "t", "in_flight", "delivered", "congested", "retried", "deferred", "dropped"
+)
+
+
+def _cycle_records(obs, **match):
+    return [
+        tuple(e[f] for f in _RECORD_FIELDS)
+        for e in obs.tracer.events
+        if e["type"] == "cycle" and all(e.get(k) == v for k, v in match.items())
+    ]
+
+
+@pytest.mark.parametrize("loss_rate", [0.0, 0.2])
+@pytest.mark.parametrize(
+    "capacity",
+    [UniversalCapacity(16, 8), ConstantCapacity(4, 1)],
+    ids=["universal", "constant"],
+)
+def test_batch_random_rank_records_match_solo(capacity, loss_rate):
+    """Set ``b``'s cycle records in a batched run are the records of
+    its solo run, field for field and cycle for cycle."""
+    from repro.core import schedule_random_rank
+    from repro.obs import Obs
+
+    ft = FatTree(16, capacity)
+    sets = [uniform_random(16, m, seed=m) for m in (0, 7, 30, 45)]
+    obs = Obs(enabled=True)
+    batch_schedule(
+        ft, sets, kernel="random_rank", seed=3, loss_rate=loss_rate, obs=obs
+    )
+    for b, ms in enumerate(sets):
+        solo = Obs(enabled=True)
+        schedule_random_rank(ft, ms, seed=3, loss_rate=loss_rate, obs=solo)
+        assert _cycle_records(obs, set=b) == _cycle_records(solo)
+        assert all(
+            e["scheduler"] == "batch_random_rank"
+            for e in obs.tracer.events
+            if e["type"] == "cycle" and e.get("set") == b
+        )
 
 
 def test_int64_dtype_everywhere():
