@@ -505,9 +505,10 @@ def run_chaos_schedule(
 
     parked: dict[int, int] = {}
     t = 0
-    while loop.n_pending:
-        loop.check_budget(t)
-        in_flight = loop.n_pending
+    while loop.n_pending[0]:
+        if loop.over_budget(t):
+            break
+        in_flight = loop.n_pending[:]
         drops, park = loop.chaos_step(t)
         index = loop.index
         caps = index.caps
@@ -566,6 +567,7 @@ def run_chaos_schedule(
             else:
                 queue.append(evicted)
         t += 1
+    loop.raise_failure()
     return Schedule(
         cycles=[routable.take(rows) for rows in loop.delivered_log],
         n_self_messages=n_self,

@@ -5,6 +5,8 @@ messages that lose a channel are not acknowledged and retry in a later
 cycle.  Every on-line stack runs that loop:
 
 * random-rank contention (:func:`~repro.core.online.schedule_random_rank`),
+  and its batched form (:func:`~repro.perf.batch_schedule` with
+  ``kernel="random_rank"``), which runs B message sets as one loop,
 * shuffle-and-retry (:func:`~repro.core.greedy.simulate_online_retry`),
 * the bit-serial switch simulator
   (:func:`~repro.hardware.switchsim.run_until_delivered`),
@@ -12,11 +14,12 @@ cycle.  Every on-line stack runs that loop:
 
 Each is a :class:`DeliveryLoop` subclass that supplies only its attempt
 step — "these eligible rows at cycle t → delivered / failed" — and the
-loop owns everything else, each cycle:
+loop owns everything else, each cycle and for each message set it
+carries (a solo run is one set):
 
-1. the cycle budget: past ``max_cycles`` it raises
-   :class:`~repro.core.errors.DeliveryTimeout` with the pending pairs,
-   the cycle and the attempt histogram;
+1. the cycle budget: past ``max_cycles`` the set fails with a
+   :class:`~repro.core.errors.DeliveryTimeout` holding its pending
+   pairs, the cycle and the attempt histogram;
 2. the chaos step, when a :class:`~repro.chaos.ChaosController` is
    attached: advance the fault clock, then park each newly severed row
    until its scheduled repair or drop it;
@@ -31,9 +34,13 @@ loop owns everything else, each cycle:
    accounting and the obs ``cycle`` event;
 7. the pending update.
 
+A set that fails retires and the others run on; once every set is done
+the loop raises the lowest-index failure, so a solo run raises exactly
+at its budget, livelock or stall.
+
 The off-line chaos replay (:func:`~repro.chaos.run_chaos_schedule`)
-keeps its own eviction repair and drives the budget, chaos step and
-record pieces itself.
+keeps its own eviction repair and drives the budget, chaos step,
+record and raise pieces itself.
 
 :func:`record_cycle` is the one per-cycle obs emitter.  Every scheduler
 — the loops above, both batch kernels and the off-line schedulers
@@ -109,10 +116,22 @@ class DeliveryLoop:
     cycle, the delivered rows (:attr:`delivered_log`).  Subclasses
     implement :meth:`attempt`.
 
-    ``policy`` and ``jrng`` drive the backoff of lossy failures: a row
-    that failed its ``k``-th attempt at cycle ``t`` retries at
-    ``t + 1 + jrng.integers(0, policy.window(k))``; loss-free failures
-    retry at ``t + 1``.
+    **Set axis.**  ``offsets`` cuts the rows into B independent runs on
+    one cycle counter (set ``b`` is rows ``offsets[b]:offsets[b + 1]``;
+    no ``offsets``: one set).  Each set has its own pending count, its
+    own budget, livelock and stall checks, and one record per cycle it
+    is live, naming its ``set`` when ``offsets`` is given.  A failing
+    set stores its :class:`~repro.core.errors.DeliveryTimeout` in
+    :attr:`failures` and retires, unrecorded that cycle; :meth:`run`
+    raises the lowest-index failure once every set is done.  Set
+    ``b``'s cycles are the :attr:`delivered_log` entries up to the one
+    delivering its last row, restricted to its rows.  With several
+    sets, :meth:`attempt` returns ascending rows; chaos runs one set.
+
+    ``policy`` and ``jrngs`` drive the backoff of lossy failures: a row
+    of set ``b`` that failed its ``k``-th attempt at cycle ``t`` retries
+    at ``t + 1 + jrngs[b].integers(0, policy.window(k))``, drawn in
+    ascending failed-row order; loss-free failures retry at ``t + 1``.
     """
 
     #: trace event name of the per-cycle record
@@ -135,8 +154,16 @@ class DeliveryLoop:
         obs: Obs,
         chaos: ChaosController | None = None,
         policy: BackoffPolicy | None = None,
-        jrng: np.random.Generator | None = None,
+        jrngs: Sequence[np.random.Generator] = (),
+        offsets: IntArray | None = None,
     ):
+        m = len(messages)
+        self.n_sets = 1 if offsets is None else len(offsets) - 1
+        #: extra record fields per set: a batched run names the set
+        self.labels = [{"set": b} for b in range(self.n_sets)] if offsets is not None else [{}]
+        self.offsets = np.array([0, m], dtype=np.int64) if offsets is None else offsets
+        if chaos is not None and self.n_sets > 1:
+            raise ValueError("a chaos run delivers one message set")
         self.messages = messages
         self.index = index
         self.scheduler = scheduler
@@ -144,10 +171,10 @@ class DeliveryLoop:
         self.obs = obs
         self.chaos = chaos
         self.policy = policy
-        self.jrng = jrng
-        m = len(messages)
+        self.jrngs = jrngs
         self.pending = np.ones(m, dtype=bool)
-        self.n_pending = m
+        self.n_pending: list[int] = np.diff(self.offsets).tolist()
+        self.failures: dict[int, DeliveryTimeout] = {}
         self.attempts = np.zeros(m, dtype=np.int64)
         self.next_try = np.zeros(m, dtype=np.int64)
         self.delivered_log: list[IntArray] = []
@@ -167,19 +194,48 @@ class DeliveryLoop:
 
     # -- the pieces of one cycle ------------------------------------------
 
-    def timeout(self, t: int) -> DeliveryTimeout:
-        """The structured timeout for the rows still pending at ``t``."""
-        rows = np.flatnonzero(self.pending)
-        return DeliveryTimeout(
+    def split(self, rows: IntArray) -> list[IntArray]:
+        """``rows`` (ascending, with several sets) cut into per-set blocks."""
+        if self.n_sets == 1:
+            return [rows]
+        cuts = np.searchsorted(rows, self.offsets).tolist()
+        return [rows[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    def counts(self, rows: IntArray) -> list[int]:
+        """How many of ``rows`` (ascending, with several sets) each set has."""
+        if self.n_sets == 1:
+            return [int(rows.size)]
+        cuts = np.searchsorted(rows, self.offsets)
+        counts: list[int] = (cuts[1:] - cuts[:-1]).tolist()
+        return counts
+
+    def retire(self, b: int, t: int) -> None:
+        """Record set ``b``'s :class:`DeliveryTimeout` at cycle ``t`` —
+        its rows still pending and their attempt histogram — and stop
+        the set."""
+        lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
+        rows = lo + np.flatnonzero(self.pending[lo:hi])
+        self.failures[b] = DeliveryTimeout(
             self.messages.take(rows).as_pairs(),
             t,
             Counter(self.attempts[rows].tolist()),
         )
+        self.pending[lo:hi] = False
+        self.n_pending[b] = 0
 
-    def check_budget(self, t: int) -> None:
-        """Raise :meth:`timeout` once ``t`` reaches ``max_cycles``."""
-        if t >= self.max_cycles:
-            raise self.timeout(t)
+    def over_budget(self, t: int) -> bool:
+        """Retire every live set once ``t`` reaches ``max_cycles``."""
+        if t < self.max_cycles:
+            return False
+        for b, left in enumerate(self.n_pending):
+            if left:
+                self.retire(b, t)
+        return True
+
+    def raise_failure(self) -> None:
+        """Raise the lowest-index set's timeout, if any set failed."""
+        if self.failures:
+            raise self.failures[min(self.failures)]
 
     def chaos_step(self, t: int) -> tuple[list[int], dict[int, int]]:
         """Advance the chaos clock to ``t`` and settle newly severed rows.
@@ -203,67 +259,87 @@ class DeliveryLoop:
                 self.next_try[i] = heal_at
         if drops:
             self.pending[np.asarray(drops, dtype=np.int64)] = False
-            self.n_pending -= len(drops)
+            self.n_pending[0] -= len(drops)
         return drops, park
 
     def finish_cycle(
-        self, t: int, in_flight: int, dropped: int, out: Attempt, stalled: bool = False
+        self,
+        t: int,
+        in_flight: list[int],
+        dropped: int,
+        out: Attempt,
+        stalled: Sequence[int] = (),
     ) -> None:
-        """Charge attempts, raise a ``stalled`` cycle's timeout, back
-        failed rows off, record the cycle and retire the delivered rows."""
+        """Charge attempts, retire the ``stalled`` sets, back failed rows
+        off and retire the delivered rows; then record the cycle of every
+        other set live at its start (``in_flight`` per set)."""
         delivered, failed = out.delivered, out.failed
         self.attempts[out.attempted] += 1
-        if stalled:
-            raise self.timeout(t)
+        for b in stalled:
+            self.retire(b, t)
         if out.lossy and failed.size:
-            assert self.policy is not None and self.jrng is not None
-            for i in failed.tolist():
-                window = self.policy.window(int(self.attempts[i]))
-                self.next_try[i] = t + 1 + int(self.jrng.integers(0, window))
+            assert self.policy is not None
+            for jrng, block in zip(self.jrngs, self.split(failed)):
+                for i in block.tolist():
+                    window = self.policy.window(int(self.attempts[i]))
+                    self.next_try[i] = t + 1 + int(jrng.integers(0, window))
         else:
             self.next_try[failed] = t + 1
         self.pending[delivered] = False
-        self.n_pending -= int(delivered.size)
         self.delivered_log.append(delivered)
+        self.n_pending = [
+            left - got for left, got in zip(self.n_pending, self.counts(delivered))
+        ]
         if self.chaos is None and not self.obs.enabled:
             return
-        first = int(np.count_nonzero(self.attempts[failed] == 1))
-        stats = CycleStats(
-            in_flight=in_flight,
-            delivered=int(delivered.size),
-            congested=first,
-            retried=int(failed.size) - first,
-            deferred=self.n_pending - int(failed.size),
-            dropped=dropped,
-        )
-        if self.chaos is not None:
-            self.chaos.record(stats)
-        if self.obs.enabled:
-            record_cycle(
-                self.obs,
-                self.scheduler,
-                t,
-                stats,
-                index=None if self.store_and_forward else self.index,
-                delivered_idx=delivered,
-                level_cap_totals=self.level_cap_totals,
-                event=self.event,
-                **(out.trace or {}),
+        for b, (got, lost) in enumerate(zip(self.split(delivered), self.split(failed))):
+            if not in_flight[b] or b in self.failures:
+                continue
+            first = int(np.count_nonzero(self.attempts[lost] == 1))
+            stats = CycleStats(
+                in_flight=in_flight[b],
+                delivered=int(got.size),
+                congested=first,
+                retried=int(lost.size) - first,
+                deferred=self.n_pending[b] - int(lost.size),
+                dropped=dropped,
             )
+            if self.chaos is not None:
+                self.chaos.record(stats)
+            if self.obs.enabled:
+                record_cycle(
+                    self.obs,
+                    self.scheduler,
+                    t,
+                    stats,
+                    index=None if self.store_and_forward else self.index,
+                    delivered_idx=got,
+                    level_cap_totals=self.level_cap_totals,
+                    event=self.event,
+                    **(out.trace or {}),
+                    **self.labels[b],
+                )
 
     def run(self) -> int:
-        """Run delivery cycles until nothing is pending; returns the
-        number of cycles."""
+        """Run delivery cycles until no set is pending; returns the
+        number of cycles, or raises the lowest-index set's timeout."""
         chaos = self.chaos
         t = 0
-        while self.n_pending:
-            self.check_budget(t)
-            in_flight = self.n_pending
+        while any(self.n_pending):
+            if self.over_budget(t):
+                break
+            in_flight = self.n_pending[:]
             dropped = len(self.chaos_step(t)[0]) if chaos is not None else 0
             rows = np.flatnonzero(self.pending & (self.next_try <= t))
+            for b, (left, ready) in enumerate(zip(self.n_pending, self.counts(rows))):
+                # livelock: the set is pending, but nobody becomes ready
+                # within the budget
+                if left and not ready:
+                    lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
+                    waits = self.next_try[lo:hi][self.pending[lo:hi]]
+                    if int(waits.min()) >= self.max_cycles:
+                        self.retire(b, t)
             if rows.size == 0:
-                if self.n_pending and int(self.next_try[self.pending].min()) >= self.max_cycles:
-                    raise self.timeout(t)  # livelock: nobody ready within budget
                 self.finish_cycle(t, in_flight, dropped, IDLE)
             else:
                 if chaos is not None:
@@ -271,15 +347,22 @@ class DeliveryLoop:
                 out = self.attempt(rows, t)
                 # with positive capacities some contender always wins
                 # every channel it needs: a loss-free cycle without a
-                # delivery means the network cannot make progress at all
+                # delivery means the set cannot make progress at all
                 # (store-and-forward progresses hop by hop instead)
-                stalled = bool(rows.size) and not (
-                    out.lossy or out.delivered.size or self.store_and_forward
-                )
+                stalled: list[int] = []
+                if not (out.lossy or self.store_and_forward):
+                    stalled = [
+                        b
+                        for b, (tried, got) in enumerate(
+                            zip(self.counts(rows), self.counts(out.delivered))
+                        )
+                        if tried and not got
+                    ]
                 self.finish_cycle(t, in_flight, dropped, out, stalled)
-                if chaos is not None:
+                if chaos is not None and not self.failures:
                     chaos.note_outcomes(self.index, out.delivered, out.failed, t)
             t += 1
+        self.raise_failure()
         return t
 
 

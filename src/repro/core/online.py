@@ -50,7 +50,7 @@ if TYPE_CHECKING:
     from ..faults.backoff import BackoffPolicy
     from ..obs import Obs
     from ..perf import PathIndex
-    from ._types import IntArray
+    from ._types import FloatArray, IntArray
 
 from .delivery import IDLE, Attempt, DeliveryLoop
 from .errors import DeliveryTimeout, UnroutableError
@@ -143,14 +143,14 @@ def schedule_random_rank(
         ft,
         routable,
         index,
-        rng=rng,
+        rngs=[rng],
         loss_rate=loss_rate,
         scheduler="random_rank",
         max_cycles=max_cycles,
         obs=obs,
         chaos=chaos,
         policy=policy,
-        jrng=policy.jitter_rng(rng),
+        jrngs=[policy.jitter_rng(rng)],
     )
     with obs.kernel("schedule_random_rank", n=ft.n, m=len(routable), seed=seed):
         loop.run()
@@ -169,7 +169,15 @@ def schedule_random_rank(
 class _RandomRank(DeliveryLoop):
     """Random-rank contention: each cycle every eligible message draws a
     uniform rank and each channel grants its ``cap(c)`` wires to its
-    lowest-ranked contenders."""
+    lowest-ranked contenders.
+
+    Set ``b`` draws its ranks, then its corruption draws, from
+    ``rngs[b]``.  With several sets, set ``b``'s gids are shifted by
+    ``b · num_slots`` against a capacity vector tiled B times, so the
+    sets hold disjoint channel ranges and one lexsort grants them all;
+    each gid group then lies within one set, with the solo run's
+    contenders, ranks and tie-break order.
+    """
 
     def __init__(
         self,
@@ -177,20 +185,35 @@ class _RandomRank(DeliveryLoop):
         routable: MessageSet,
         index: PathIndex,
         *,
-        rng: np.random.Generator,
+        rngs: list[np.random.Generator],
         loss_rate: float,
         **loop_args: Any,
     ):
         super().__init__(ft, routable, index, **loop_args)
-        self.rng = rng
+        self.rngs = rngs
         self.loss_rate = loss_rate
+        self.shifted: tuple[IntArray, IntArray] | None = None
+        if self.n_sets > 1:
+            shift = np.repeat(np.arange(self.n_sets) * index.num_slots, np.diff(self.offsets))
+            self.shifted = (
+                index.paths + shift[:, np.newaxis],
+                np.tile(index.caps, self.n_sets),
+            )
+
+    def draw(self, rows: IntArray) -> FloatArray:
+        """One uniform draw per row, each from its own set's stream."""
+        if self.n_sets == 1:
+            return self.rngs[0].random(rows.size)
+        return np.concatenate(
+            [rng.random(c) for rng, c in zip(self.rngs, self.counts(rows))]
+        )
 
     def attempt(self, rows: IntArray, t: int) -> Attempt:
         if rows.size == 0:
             return IDLE
-        paths = self.index.paths
+        paths, caps = self.shifted or (self.index.paths, self.index.caps)
         width = paths.shape[1]
-        ranks = self.rng.random(rows.size)
+        ranks = self.draw(rows)
         # one lexsort over (gid, rank, arrival order) resolves every
         # channel's grant at once: within each gid group the first
         # cap(c) entries win a wire
@@ -198,17 +221,22 @@ class _RandomRank(DeliveryLoop):
         entry_msg = np.repeat(np.arange(rows.size), width)
         order = np.lexsort((entry_msg, ranks[entry_msg], gids))
         sg = gids[order]
-        starts = np.flatnonzero(np.r_[True, sg[1:] != sg[:-1]])
-        counts = np.diff(np.r_[starts, sg.size])
+        head = np.empty(sg.size, dtype=bool)
+        head[0] = True
+        np.not_equal(sg[1:], sg[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        counts = np.empty(starts.size, dtype=np.int64)
+        counts[:-1] = starts[1:] - starts[:-1]
+        counts[-1] = sg.size - starts[-1]
         pos_in_group = np.arange(sg.size) - np.repeat(starts, counts)
-        won = pos_in_group < self.index.caps[sg]
+        won = pos_in_group < caps[sg]
         wins = np.bincount(entry_msg[order][won], minlength=rows.size)
         delivered_pos = np.flatnonzero(wins == width)  # won every channel
         lr = self.loss_rate if self.chaos is None else self.chaos.loss_rate(self.loss_rate)
         if lr:
             # transient corruption: a won path can still deliver garbage,
             # which the destination NACKs — the source must retry
-            survived = self.rng.random(delivered_pos.size) >= lr
+            survived = self.draw(rows[delivered_pos]) >= lr
             delivered_pos = delivered_pos[survived]
         del_mask = np.zeros(rows.size, dtype=bool)
         del_mask[delivered_pos] = True

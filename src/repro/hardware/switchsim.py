@@ -674,7 +674,7 @@ def run_until_delivered(
         obs=obs,
         chaos=chaos,
         policy=policy,
-        jrng=policy.jitter_rng(np.random.default_rng((seed + 1) * 0x9E3779B1)),
+        jrngs=[policy.jitter_rng(np.random.default_rng((seed + 1) * 0x9E3779B1))],
     )
     with obs.kernel("run_until_delivered", n=ft.n, m=len(messages), seed=seed):
         cycles = loop.run()

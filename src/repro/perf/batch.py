@@ -1,7 +1,7 @@
 """Batched scheduling: B message sets against one tree in one 3-D pass.
 
-The throughput shape the planned ``repro.serve`` daemon consumes — and
-the workload shape topology-evaluation studies need — is *many small
+The throughput shape the ``repro.serve`` daemon consumes — and the
+workload shape topology-evaluation studies need — is *many small
 message sets against the same fat-tree*.  Scheduling them one
 :class:`~repro.core.MessageSet` at a time pays the fixed costs B times
 over: a :class:`~repro.perf.PathIndex` cache probe (or build) per set,
@@ -18,10 +18,14 @@ this embedding the sets occupy pairwise-disjoint channel ranges, so
   first-fit problems at once (set ``b``'s greedy packing of any cycle
   only ever meets set ``b``'s own channels — the combined run is the
   B independent runs, interleaved), and
-* one lexsort per *global* cycle resolves every set's random-rank
-  channel grants (each offset-gid group is wholly within one set, with
-  the same contenders, the same ranks from that set's own seeded
-  stream, and the same tie-break order as the solo kernel's group).
+* the on-line kernel runs the B sets as one
+  :class:`~repro.core.delivery.DeliveryLoop` with a set axis — the
+  solo kernel's own ``_RandomRank`` loop — whose one lexsort per
+  shared cycle resolves every set's channel grants (each offset-gid
+  group is wholly within one set, with the same contenders, the same
+  ranks from that set's own seeded stream, and the same tie-break
+  order as the solo kernel's group).  Budget, livelock, stall, backoff
+  and the cycle records are the loop's, per set.
 
 Bit-parity contract: :func:`batch_schedule` is **bit-identical to B
 independent calls** of the corresponding solo kernel —
@@ -42,7 +46,6 @@ perturb any set's sequence.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -52,24 +55,25 @@ if TYPE_CHECKING:
     from ..obs import Obs
     from .pathindex import PathIndex
 
-from ..core.delivery import level_capacity_totals, record_cycle, record_offline_cycles
-from ..core.errors import DeliveryTimeout, UnroutableError
+from ..core.delivery import level_capacity_totals, record_offline_cycles
+from ..core.errors import UnroutableError
 from ..core.message import MessageSet
 from ..core.registry import BATCH_KERNELS
-from ..core.schedule import CycleStats, Schedule
+from ..core.schedule import Schedule
 
 __all__ = ["batch_schedule", "_reference_batch_schedule"]
 
 
 def _combined_index(
     ft: FatTree, message_sets: list[MessageSet], obs: "Obs | None"
-) -> "tuple[list[MessageSet], PathIndex, np.ndarray]":
+) -> "tuple[list[MessageSet], MessageSet, PathIndex, np.ndarray]":
     """One PathIndex over the concatenation of all routable sets.
 
     Paths depend only on (src, dst, depth), so the concatenated index's
     row block for set ``b`` equals set ``b``'s own index rows — one
     build (and one cache slot) replaces B.  Returns the per-set
-    routable sets, the combined index, and the row offset of each set.
+    routable sets, their concatenation, its index, and the row offset
+    of each set.
     """
     from . import get_path_index
 
@@ -90,7 +94,7 @@ def _combined_index(
             bad = ~mask[offsets[b] : offsets[b + 1]]
             if bad.any():
                 raise UnroutableError(r.take(bad).as_pairs())
-    return routables, index, offsets
+    return routables, combined, index, offsets
 
 
 def _batch_greedy(
@@ -99,7 +103,7 @@ def _batch_greedy(
     from ..core.greedy import _placement_order
     from .firstfit import first_fit_assign
 
-    routables, index, offsets = _combined_index(ft, message_sets, obs)
+    routables, _, index, offsets = _combined_index(ft, message_sets, obs)
     B = len(routables)
     num_slots = index.num_slots
     total_m = int(offsets[-1])
@@ -198,189 +202,47 @@ def _batch_random_rank(
     max_backoff: int,
     obs: "Obs",
 ) -> list[Schedule]:
-    from ..core.online import _validate_args
+    from ..core.online import _RandomRank, _validate_args
     from ..faults.backoff import BackoffPolicy
 
     lr = 0.0
     for ms in message_sets:
         lr = _validate_args(ft, ms, loss_rate, max_backoff)
     policy = BackoffPolicy(base=1, cap=max_backoff)
-    routables, index, offsets = _combined_index(ft, message_sets, obs)
+    routables, combined, index, offsets = _combined_index(ft, message_sets, obs)
     B = len(routables)
-    num_slots = index.num_slots
-    width = index.paths.shape[1]
-    caps_tiled = np.tile(index.caps, B)
-    total_m = int(offsets[-1])
-
-    # flat solo state over the concatenated messages: pending / attempts
-    # / next_try updates are whole-array passes, and the per-set view is
-    # recovered by slicing at ``offsets``.  Each set still draws from
-    # its own default_rng(seed) stream in exactly the solo kernel's
-    # positions — that is the bit-parity invariant.
-    set_of_row = np.repeat(np.arange(B, dtype=np.int64), np.diff(offsets))
+    # one default_rng(seed) stream per set, drawn in the solo run's
+    # positions: the bit-parity invariant
     rngs = [np.random.default_rng(seed) for _ in range(B)]
-    jrngs = [policy.jitter_rng(rngs[b]) for b in range(B)]
-    attempts = np.zeros(total_m, dtype=np.int64)
-    next_try = np.zeros(total_m, dtype=np.int64)
-    pending = np.ones(total_m, dtype=bool)
-    n_pending = np.diff(offsets).astype(np.int64)
-    cycle_lists: list[list[MessageSet]] = [[] for _ in range(B)]
-    failures: dict[int, DeliveryTimeout] = {}
-
-    def _fail(b: int, t: int) -> None:
-        # records the DeliveryTimeout the solo kernel would raise at its
-        # cycle t, then retires the set so the joint loop moves on
-        sl = slice(int(offsets[b]), int(offsets[b + 1]))
-        pend_b = pending[sl]
-        failures[b] = DeliveryTimeout(
-            routables[b].take(np.flatnonzero(pend_b)).as_pairs(),
-            t,
-            Counter(attempts[sl][pend_b].tolist()),
-        )
-        pending[sl] = False
-        n_pending[b] = 0
-
-    tracing = obs.enabled
-    if tracing:
-        level_cap_totals = level_capacity_totals(ft)
-
+    loop = _RandomRank(
+        ft,
+        combined,
+        index,
+        rngs=rngs,
+        loss_rate=lr,
+        scheduler="batch_random_rank",
+        max_cycles=max_cycles,
+        obs=obs,
+        policy=policy,
+        jrngs=[policy.jitter_rng(rng) for rng in rngs],
+        offsets=offsets,
+    )
     with obs.kernel(
-        "batch_schedule", n=ft.n, b=B, m=total_m, engine="random_rank", seed=seed
+        "batch_schedule", n=ft.n, b=B, m=int(offsets[-1]), engine="random_rank", seed=seed
     ):
-        # every live set appends exactly one cycle per iteration, so the
-        # iteration counter t equals each solo kernel's local cycle
-        t = 0
-        while True:
-            if not n_pending.any():
-                break
-            if t >= max_cycles:
-                for b in np.flatnonzero(n_pending).tolist():
-                    _fail(b, t)
-                break
-            elig = np.flatnonzero(pending & (next_try <= t))
-            set_of_elig = set_of_row[elig]
-            cnt = np.bincount(set_of_elig, minlength=B)
-            stalled = np.flatnonzero((cnt == 0) & (n_pending > 0))
-            for b in stalled.tolist():
-                sl = slice(int(offsets[b]), int(offsets[b + 1]))
-                if int(next_try[sl][pending[sl]].min()) >= max_cycles:
-                    _fail(b, t)  # livelock: no eligibility within budget
-                    continue
-                cycle_lists[b].append(MessageSet.empty(ft.n))
-                if tracing:
-                    pend = int(n_pending[b])
-                    record_cycle(
-                        obs,
-                        "batch_random_rank",
-                        t,
-                        CycleStats(pend, 0, 0, 0, pend, 0),
-                        set=b,
-                    )
-            if elig.size == 0:
-                t += 1
-                continue
-            attempts[elig] += 1
-            # elig is sorted, so entries fall into contiguous ascending
-            # set blocks; fill each block from its own rank stream
-            ranks = np.empty(elig.size, dtype=np.float64)
-            pos = 0
-            for b in np.flatnonzero(cnt).tolist():
-                c = int(cnt[b])
-                ranks[pos : pos + c] = rngs[b].random(c)
-                pos += c
-            # one lexsort resolves every set's channel grants at once:
-            # each offset-gid group lies wholly within one set, with the
-            # solo kernel's contenders, ranks and tie-break order
-            gids = (
-                index.paths[elig] + set_of_elig[:, np.newaxis] * num_slots
-            ).reshape(-1)
-            entry_msg = np.repeat(np.arange(elig.size, dtype=np.int64), width)
-            order = np.lexsort((entry_msg, ranks[entry_msg], gids))
-            sg = gids[order]
-            seg = np.empty(sg.size, dtype=bool)
-            seg[0] = True
-            np.not_equal(sg[1:], sg[:-1], out=seg[1:])
-            starts = np.flatnonzero(seg)
-            counts = np.empty(starts.size, dtype=np.int64)
-            counts[:-1] = starts[1:] - starts[:-1]
-            counts[-1] = sg.size - starts[-1]
-            pos_in_group = np.arange(sg.size) - np.repeat(starts, counts)
-            won = pos_in_group < caps_tiled[sg]
-            wins = np.bincount(entry_msg[order][won], minlength=elig.size)
-            delivered_mask = wins == width  # per eligible entry
-            if lr:
-                # per-set survival draws, in stream order after ranks
-                base = 0
-                for b in np.flatnonzero(cnt).tolist():
-                    c = int(cnt[b])
-                    block = delivered_mask[base : base + c]
-                    k = int(block.sum())
-                    if k:
-                        block[np.flatnonzero(block)] = rngs[b].random(k) >= lr
-                    base += c
-            dcnt = np.bincount(
-                set_of_elig[delivered_mask], minlength=B
-            )
-            if not lr:
-                # a no-progress cycle means the solo kernel times out
-                for b in np.flatnonzero((cnt > 0) & (dcnt == 0)).tolist():
-                    _fail(b, t)
-            delivered_flat = elig[delivered_mask]
-            failed_flat = elig[~delivered_mask]
-            bounds = np.cumsum(dcnt)
-            if tracing:
-                # per-set failures on a first attempt vs. on a retry
-                first = np.bincount(
-                    set_of_row[failed_flat[attempts[failed_flat] == 1]],
-                    minlength=B,
-                )
-            for b in np.flatnonzero(cnt).tolist():
-                if b in failures:
-                    continue
-                hi = int(bounds[b])
-                part = delivered_flat[hi - int(dcnt[b]) : hi]
-                cycle_lists[b].append(routables[b].take(part - int(offsets[b])))
-                if tracing:
-                    lost = int(cnt[b] - dcnt[b])
-                    record_cycle(
-                        obs,
-                        "batch_random_rank",
-                        t,
-                        CycleStats(
-                            in_flight=int(n_pending[b]),
-                            delivered=int(dcnt[b]),
-                            congested=int(first[b]),
-                            retried=lost - int(first[b]),
-                            deferred=int(n_pending[b] - cnt[b]),
-                            dropped=0,
-                        ),
-                        index=index,
-                        delivered_idx=part,
-                        level_cap_totals=level_cap_totals,
-                        set=b,
-                    )
-            if lr:
-                # ascending rows = per-set ascending local order, the
-                # exact jitter draw order of each solo kernel
-                for row in failed_flat.tolist():
-                    b = int(set_of_row[row])
-                    if b in failures:
-                        continue
-                    window = policy.window(int(attempts[row]))
-                    next_try[row] = t + 1 + int(jrngs[b].integers(0, window))
-            else:
-                next_try[failed_flat] = t + 1  # retry immediately
-            pending[delivered_flat] = False
-            n_pending -= dcnt
-            t += 1
-
-    if failures:
-        # the serial loop would surface the lowest-index failing set
-        raise failures[min(failures)]
+        loop.run()
+    # set b's cycles run up to the one that delivers its last row
+    cycles: list[list[MessageSet]] = [[] for _ in range(B)]
+    left = np.diff(offsets).tolist()
+    for rows in loop.delivered_log:
+        for b, block in enumerate(loop.split(rows)):
+            if left[b]:
+                cycles[b].append(routables[b].take(block - offsets[b]))
+                left[b] -= block.size
     # returned per set; validated externally by the conformance oracle
     return [
         Schedule(  # reprolint: ignore[schedule-hygiene]
-            cycles=cycle_lists[b],
+            cycles=cycles[b],
             n_self_messages=len(message_sets[b]) - len(routables[b]),
         )
         for b in range(B)

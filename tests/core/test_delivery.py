@@ -13,9 +13,11 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.chaos import (
+    ChaosController,
     ChaosEvent,
     ChaosSchedule,
     random_timeline,
@@ -90,6 +92,19 @@ class TestBudgetRaisesDeliveryTimeout:
         assert exc.value.cycles == 0
         assert exc.value.undelivered == [(0, 7), (1, 6)]
         assert exc.value.attempts == {0: 2}  # never injected: no attempt
+
+
+
+def test_chaos_runs_one_set():
+    """The set axis carries no chaos: a controller with two sets is
+    rejected up front."""
+    ft, m = _hotspot()
+    with pytest.raises(ValueError, match="one message set"):
+        DeliveryLoop(
+            ft, m, PathIndex(ft, m), scheduler="random_rank", max_cycles=10,
+            obs=NULL_OBS, chaos=ChaosController(ft, ChaosSchedule(())),
+            offsets=np.array([0, 10, 20]),
+        )
 
 
 KILL = ChaosSchedule(
