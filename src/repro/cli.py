@@ -174,8 +174,12 @@ def cmd_batch(args) -> int:
     batched_s = time.perf_counter() - t0
     clear_path_index_cache(ft)
     t0 = time.perf_counter()
-    _reference_batch_schedule(ft, sets, kernel=args.kernel, seed=args.seed)
+    serial = _reference_batch_schedule(ft, sets, kernel=args.kernel, seed=args.seed)
     serial_s = time.perf_counter() - t0
+    for b, (got, want) in enumerate(zip(scheds, serial)):
+        if [c.as_pairs() for c in got.cycles] != [c.as_pairs() for c in want.cycles]:
+            print(f"error: set {b}: batched schedule differs from the serial loop", file=sys.stderr)
+            return 1
     total_m = sum(len(s) for s in sets)
     rows = [
         {"set": b, "messages": len(sets[b]), "cycles": scheds[b].num_cycles}

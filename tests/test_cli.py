@@ -105,6 +105,30 @@ class TestBatch:
         assert code == 0
         assert "first 8 of 12 sets" in out
 
+    @pytest.mark.parametrize("kernel", ["greedy", "random_rank"])
+    def test_parity_break_exits_1_naming_the_set(self, capsys, monkeypatch, kernel):
+        """The command checks its own batched-vs-serial parity: a batched
+        schedule that differs in one set fails with one error line."""
+        from repro.perf import batch
+
+        real = batch.batch_schedule
+
+        def perturbed(ft, sets, **kw):
+            scheds = real(ft, sets, **kw)
+            scheds[2].cycles.pop()  # set 2 loses its last cycle
+            return scheds
+
+        monkeypatch.setattr(batch, "batch_schedule", perturbed)
+        code = main(
+            ["batch", "--n", "32", "--batch", "4", "--messages", "64",
+             "--kernel", kernel]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.strip().splitlines() == [
+            "error: set 2: batched schedule differs from the serial loop"
+        ]
+
 
 class TestSimulate:
     @pytest.mark.parametrize(
