@@ -17,6 +17,14 @@ into ``BENCH_CHAOS.json`` at the repository root:
    (b) unrepaired switch kills (the floor is exactly the traffic whose
    only path survives; severed messages are dropped, not wedged).
 
+3. **Runtime stage times** — absolute wall time (best and median of
+   the repeats) of the three chaos-workload stages that run per-channel
+   bookkeeping every cycle: ``run_chaos_random_rank`` and
+   ``run_chaos_switchsim`` (circuit breakers) under a wire-only
+   ``random_timeline``, and healthy ``run_store_and_forward`` (queues),
+   at ``n = 256`` with ``4n`` uniform messages.  No gate: the rows
+   record where the time goes.
+
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_chaos.py``
 (``--quick`` for the CI smoke subset, which still enforces the 2× gate
 at a smaller size) or via pytest as a bench.
@@ -140,6 +148,49 @@ def _degradation_point(n, m_count, rate, scenario, *, seed=0):
     }
 
 
+def _runtime_rows(n, *, repeats, seed=0):
+    """Best and median wall time of each runtime chaos stage."""
+    import numpy as np
+
+    from repro.chaos import random_timeline, run_chaos_random_rank, run_chaos_switchsim
+    from repro.core import FatTree, MessageSet
+    from repro.hardware import run_store_and_forward
+
+    rng = np.random.default_rng([seed, n])
+    messages = MessageSet(rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n), n)
+    timeline = random_timeline(
+        FatTree(n), seed=int(rng.integers(2**31)), allow_kills=False
+    )
+    stages = {
+        "run_chaos_random_rank": lambda ft: run_chaos_random_rank(
+            ft, messages, timeline, seed=seed
+        ),
+        "run_chaos_switchsim": lambda ft: run_chaos_switchsim(
+            ft, messages, timeline, seed=seed
+        ),
+        "run_store_and_forward": lambda ft: run_store_and_forward(ft, messages),
+    }
+    rows = []
+    for stage, call in stages.items():
+        times = []
+        for _ in range(repeats):
+            ft = FatTree(n)  # fresh tree: no cached path index
+            t0 = time.perf_counter()
+            call(ft)
+            times.append(time.perf_counter() - t0)
+        rows.append(
+            {
+                "stage": stage,
+                "n": n,
+                "messages": len(messages),
+                "repeats": repeats,
+                "best_ms": round(1e3 * min(times), 2),
+                "median_ms": round(1e3 * sorted(times)[len(times) // 2], 2),
+            }
+        )
+    return rows
+
+
 def run_bench(quick=False):
     """All measurements; the first reroute row is the acceptance gate."""
     repeats = 2 if quick else REPEATS
@@ -171,23 +222,30 @@ def run_bench(quick=False):
             assert row["delivered_fraction"] >= floor - 0.35, (
                 f"degradation not graceful: {row} (floor ~{floor})"
             )
+    runtime = _runtime_rows(256, repeats=repeats)
     RESULTS_PATH.write_text(
         json.dumps(
-            {"quick": quick, "reroute": reroute, "degradation": curves},
+            {
+                "quick": quick,
+                "reroute": reroute,
+                "degradation": curves,
+                "runtime": runtime,
+            },
             indent=2,
         )
         + "\n"
     )
-    return reroute, curves
+    return reroute, curves, runtime
 
 
 def test_incremental_reroute_speedup(report):
     """The chaos acceptance gate: invalidate_channels ≥2× over a full
     PathIndex rebuild at n=1024 / m=4096, plus graceful-degradation
     floors on the delivered-fraction curves."""
-    reroute, curves = run_bench(quick=False)
+    reroute, curves, runtime = run_bench(quick=False)
     report(reroute, title="CHAOS — incremental reroute vs full rebuild")
     report(curves, title="CHAOS — delivered fraction vs fault rate")
+    report(runtime, title="CHAOS — runtime stage times")
     headline = reroute[0]
     assert headline["n"] == 1024 and headline["messages"] == 4096
     assert headline["speedup"] >= 2.0, (
@@ -204,12 +262,14 @@ def main(argv=None):
         help="small sizes, fewer repeats (CI smoke); keeps the 2x gate",
     )
     args = parser.parse_args(argv)
-    reroute, curves = run_bench(quick=args.quick)
+    reroute, curves, runtime = run_bench(quick=args.quick)
     from repro.analysis import format_table
 
     print(format_table(reroute, title="CHAOS — incremental reroute vs full rebuild"))
     print()
     print(format_table(curves, title="CHAOS — delivered fraction vs fault rate"))
+    print()
+    print(format_table(runtime, title="CHAOS — runtime stage times"))
     print(f"wrote {RESULTS_PATH}")
     headline = reroute[0]
     if headline["speedup"] < 2.0:

@@ -226,10 +226,11 @@ class ChaosController:
         if not self.perturbed:
             return np.zeros(eligible.size, dtype=bool)
         blocked = self.health.blocked_gids(t)
-        if not blocked:
+        if not blocked.size:
             return np.zeros(eligible.size, dtype=bool)
-        gids = np.asarray(sorted(blocked), dtype=np.int64)
-        return np.isin(index.paths[eligible], gids).any(axis=1)
+        is_blocked = np.zeros(index.num_slots, dtype=bool)
+        is_blocked[blocked] = True
+        return is_blocked[index.paths[eligible]].any(axis=1)
 
     def note_outcomes(
         self, index, delivered: np.ndarray, failed: np.ndarray, t: int
@@ -249,14 +250,11 @@ class ChaosController:
         self.health.on_cycle(t, failures, successes)
 
     @staticmethod
-    def _tally(index, rows: np.ndarray) -> dict[int, int]:
-        if rows.size == 0:
-            return {}
-        counts = np.bincount(
-            index.paths[rows].ravel(), minlength=index.num_slots
-        )
+    def _tally(index, rows: np.ndarray) -> np.ndarray:
+        """How many of ``rows`` cross each gid (the padding slot reads 0)."""
+        counts = np.bincount(index.paths[rows].ravel(), minlength=index.num_slots)
         counts[PAD_GID] = 0
-        return {int(g): int(counts[g]) for g in np.flatnonzero(counts)}
+        return counts
 
     def loss_rate(self, base: float) -> float:
         """The transient corruption rate in force at the current cycle."""

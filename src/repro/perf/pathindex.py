@@ -30,7 +30,8 @@ level ``d - j`` (first hop first) and column ``d + k - 1`` holds the
 down channel at level ``k`` (so down hops appear in ascending-level =
 path order).  Scanning a row left to right and skipping padding
 therefore yields the hops of the message in exact path order, which the
-buffered store-and-forward simulator relies on.
+buffered store-and-forward simulator relies on (via
+:meth:`PathIndex.hop_matrix`).
 
 Capacities are read through :meth:`FatTree.cap_vector`, so the index of
 a :class:`~repro.faults.DegradedFatTree` is automatically built against
@@ -156,10 +157,11 @@ class PathIndex:
         """True per message iff no channel on its path has capacity 0."""
         return ~(self.caps[self.paths] == 0).any(axis=1)
 
-    def hops(self, i: int) -> list[int]:
-        """The gids of message ``i`` in exact path order (pads removed)."""
-        row = self.paths[i]
-        return [int(g) for g in row if g != PAD_GID]
+    def hop_matrix(self) -> np.ndarray:
+        """:attr:`paths` with each row's pads moved to its end: row ``i``
+        starts with message ``i``'s gids in exact path order."""
+        order = np.argsort(self.paths == PAD_GID, axis=1, kind="stable")
+        return np.take_along_axis(self.paths, order, axis=1)
 
     def load_vector(self, idx: "np.ndarray | None" = None) -> np.ndarray:
         """Per-gid channel loads of a subset (pads land in slot 0)."""

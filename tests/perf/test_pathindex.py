@@ -60,6 +60,7 @@ class TestPathIndex:
         ft = FatTree(64)
         m = uniform_random(64, 200, seed=0)
         index = PathIndex(ft, m)
+        hops = index.hop_matrix()
         for i, (s, d) in enumerate(m):
             expected = [
                 pack_gid(
@@ -67,8 +68,11 @@ class TestPathIndex:
                 )
                 for ch in ft.path_channels(s, d)
             ]
-            assert index.hops(i) == expected  # same channels, same order
-            assert int(index.path_len[i]) == ft.path_length(s, d)
+            length = ft.path_length(s, d)
+            # same channels, same order, then only padding
+            assert hops[i, :length].tolist() == expected
+            assert (hops[i, length:] == PAD_GID).all()
+            assert int(index.path_len[i]) == length
 
     def test_row_is_padded_to_twice_depth(self):
         ft = FatTree(16)
@@ -138,8 +142,8 @@ class TestPathIndex:
         assert sub[1:, 0].sum() == sum(
             1
             for i in idx
-            for g in index.hops(int(i))
-            if g % 2 == 0
+            for g in index.paths[int(i)]
+            if g != PAD_GID and g % 2 == 0
         )
         assert int(crossing.sum()) >= int(sub[ft.depth, 0])
 
@@ -150,7 +154,7 @@ class TestPathIndex:
     def test_depth_zero_tree(self):
         ft = FatTree(1)
         index = PathIndex(ft, MessageSet([0], [0], 1))
-        assert index.hops(0) == []
+        assert (index.hop_matrix() == PAD_GID).all()
         assert index.routable_mask().all()
 
 
