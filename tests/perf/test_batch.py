@@ -211,6 +211,20 @@ class TestBatchEdges:
             solo = schedule_random_rank(ft, ms, seed=9)
             assert _exact_cycles(got) == _exact_cycles(solo)
 
+    def test_batch_random_rank_matches_solo_past_16_bit_gids(self):
+        """17 sets at n=1024 shift gids up to 17·(4n − 2) > 2^16, so the
+        batched grant sorts on more than one 16-bit digit."""
+        from repro.core import schedule_random_rank
+
+        ft = FatTree(1024)
+        sets = [uniform_random(1024, 16, seed=s) for s in range(17)]
+        assert len(sets) * (4 * ft.n - 2) > 1 << 16
+        for got, ms in zip(
+            batch_schedule(ft, sets, kernel="random_rank", seed=9), sets
+        ):
+            solo = schedule_random_rank(ft, ms, seed=9)
+            assert _exact_cycles(got) == _exact_cycles(solo)
+
 
 _RECORD_FIELDS = (
     "t", "in_flight", "delivered", "congested", "retried", "deferred", "dropped"
