@@ -5,8 +5,8 @@ workload shape topology-evaluation studies need — is *many small
 message sets against the same fat-tree*.  Scheduling them one
 :class:`~repro.core.MessageSet` at a time pays the fixed costs B times
 over: a :class:`~repro.perf.PathIndex` cache probe (or build) per set,
-a kernel dispatch per set, and — for the on-line kernel — one lexsort
-per set per cycle over a tiny entry array.
+a kernel dispatch per set, and — for the on-line kernel — one grant
+sort per set per cycle over a tiny entry array.
 
 :func:`batch_schedule` amortises all three with a *channel-offset
 embedding*.  The B sets' path matrices are stacked into one
@@ -20,7 +20,7 @@ this embedding the sets occupy pairwise-disjoint channel ranges, so
   B independent runs, interleaved), and
 * the on-line kernel runs the B sets as one
   :class:`~repro.core.delivery.DeliveryLoop` with a set axis — the
-  solo kernel's own ``_RandomRank`` loop — whose one lexsort per
+  solo kernel's own ``_RandomRank`` loop — whose one gid sort per
   shared cycle resolves every set's channel grants (each offset-gid
   group is wholly within one set, with the same contenders, the same
   ranks from that set's own seeded stream, and the same tie-break
@@ -285,7 +285,7 @@ def batch_schedule(
     (paths depend only on endpoints), one first-fit engine call — the
     B path matrices are stacked with per-set gid offsets into disjoint
     channel ranges of a tiled capacity vector — and, on-line, one
-    lexsort per global cycle instead of one per set per cycle.
+    grant sort per global cycle instead of one per set per cycle.
 
     ``obs`` (default: the module-level
     :func:`~repro.obs.get_default_obs`) receives one ``batch_schedule``

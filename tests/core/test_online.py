@@ -17,7 +17,7 @@ from repro.core import (
     online_cycle_bound,
     schedule_random_rank,
 )
-from repro.core.online import _reference_schedule_random_rank
+from repro.core.online import _radix_argsort, _reference_schedule_random_rank
 from repro.workloads import hotspot, random_permutation, uniform_random
 
 
@@ -141,3 +141,21 @@ def test_random_rank_property(pairs, seed):
     m = MessageSet.from_pairs(pairs, 32)
     sched = schedule_random_rank(ft, m, seed=seed)
     sched.validate(ft, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 7, 1 << 16, (1 << 16) + 1, 70_000, 1 << 33]),
+    st.integers(0, 300),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_radix_argsort_is_the_stable_argsort(bound, size, all_equal, seed):
+    """The grant's gid sort equals ``np.argsort(kind="stable")`` below
+    and above 2^16, on empty and all-equal keys too."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, bound, size=size, dtype=np.int64)
+    if all_equal and size:
+        keys[:] = keys[0]
+    got = _radix_argsort(keys, bound)
+    assert got.tolist() == np.argsort(keys, kind="stable").tolist()
