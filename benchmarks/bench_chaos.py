@@ -18,10 +18,9 @@ into ``BENCH_CHAOS.json`` at the repository root:
    only path survives; severed messages are dropped, not wedged).
 
 3. **Runtime stage times** — absolute wall time (best and median of
-   the repeats) of the three chaos-workload stages that run per-channel
-   bookkeeping every cycle: ``run_chaos_random_rank`` and
-   ``run_chaos_switchsim`` (circuit breakers) under a wire-only
-   ``random_timeline``, and healthy ``run_store_and_forward`` (queues),
+   the repeats) of three chaos-workload stages: ``run_chaos_random_rank``
+   and ``run_chaos_switchsim`` under a wire-only ``random_timeline``,
+   and healthy ``run_store_and_forward`` (per-channel queues),
    at ``n = 256`` with ``4n`` uniform messages.  No gate: the rows
    record where the time goes.
 

@@ -5,11 +5,11 @@ timelines (:class:`ChaosSchedule`) mutate a live
 :class:`~repro.faults.DegradedFatTree` *between* delivery cycles while
 a routing run is in flight, and the runtime loops recover — rerouting
 incrementally, parking severed messages until their scheduled repair,
-backing off with capped seeded jitter, and tripping per-channel circuit
-breakers — without ever recomputing state from scratch.  Every cycle's
-outcome satisfies the partition invariant ``delivered + congested +
-retried + deferred + dropped == in-flight``, and an *empty* timeline is
-guaranteed bit-identical to a healthy run.
+and backing off with capped seeded jitter — without ever recomputing
+state from scratch.  Every cycle's outcome satisfies the partition
+invariant ``delivered + congested + retried + deferred + dropped ==
+in-flight``, and an *empty* timeline is guaranteed bit-identical to a
+healthy run.
 
 Entry points: :func:`run_chaos_random_rank`,
 :func:`run_chaos_online_retry`, :func:`run_chaos_switchsim`,
@@ -29,7 +29,6 @@ from .engine import (
     run_chaos_store_and_forward,
     run_chaos_switchsim,
 )
-from .health import BreakerConfig, ChannelHealth
 from .timeline import EVENT_KINDS, ChaosEvent, ChaosSchedule, random_timeline
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "EVENT_KINDS",
     "random_timeline",
     "ChaosClock",
-    "BreakerConfig",
-    "ChannelHealth",
     "ChaosController",
     "run_chaos_random_rank",
     "run_chaos_online_retry",

@@ -23,8 +23,7 @@ carries (a solo run is one set):
 2. the chaos step, when a :class:`~repro.chaos.ChaosController` is
    attached: advance the fault clock, then park each newly severed row
    until its scheduled repair or drop it;
-3. eligibility: pending rows whose backoff has expired, minus rows
-   behind an open circuit breaker;
+3. eligibility: pending rows whose backoff has expired;
 4. the empty cycle when every message is backing off, and the livelock
    check (nobody becomes eligible within the budget);
 5. attempt counting, the stall check (a loss-free cycle that delivers
@@ -185,11 +184,8 @@ class DeliveryLoop:
         )
 
     def attempt(self, rows: IntArray, t: int) -> Attempt:
-        """Try to deliver ``rows`` at cycle ``t``.
-
-        ``rows`` are ascending and may be empty when open breakers hold
-        back every ready message.
-        """
+        """Try to deliver ``rows`` at cycle ``t``; ``rows`` are
+        ascending and never empty."""
         raise NotImplementedError
 
     # -- the pieces of one cycle ------------------------------------------
@@ -342,8 +338,6 @@ class DeliveryLoop:
             if rows.size == 0:
                 self.finish_cycle(t, in_flight, dropped, IDLE)
             else:
-                if chaos is not None:
-                    rows = rows[~chaos.breaker_blocked(self.index, rows, t)]
                 out = self.attempt(rows, t)
                 # with positive capacities some contender always wins
                 # every channel it needs: a loss-free cycle without a
@@ -359,8 +353,6 @@ class DeliveryLoop:
                         if tried and not got
                     ]
                 self.finish_cycle(t, in_flight, dropped, out, stalled)
-                if chaos is not None and not self.failures:
-                    chaos.note_outcomes(self.index, out.delivered, out.failed, t)
             t += 1
         self.raise_failure()
         return t

@@ -268,11 +268,10 @@ class _OnlineRetry(DeliveryLoop):
     """Shuffle-and-retry: each cycle the ready messages, in a freshly
     shuffled order, take residual capacity first-fit.
 
-    The order carries over between cycles — losers first, then the
-    messages an open breaker held back, then (ascending) the messages
-    whose repair has just landed; severed messages leave it when they
-    park or drop.  The shuffle covers every ready message, breaker-held
-    ones included.  Both are part of the RNG contract.
+    The order carries over between cycles — losers first, then
+    (ascending) the messages whose repair has just landed; severed
+    messages leave it when they park or drop.  That order is part of
+    the RNG contract.
     """
 
     def __init__(
@@ -297,30 +296,22 @@ class _OnlineRetry(DeliveryLoop):
 
     def attempt(self, rows: IntArray, t: int) -> Attempt:
         order = self.order
-        ready = np.flatnonzero(self.pending & (self.next_try <= t))
-        if len(order) < ready.size:  # repairs landed: append, ascending
+        if len(order) < rows.size:  # repairs landed: append, ascending
             queued = set(order)
-            order = order + [i for i in ready.tolist() if i not in queued]
+            order = order + [i for i in rows.tolist() if i not in queued]
         self.rng.shuffle(order)
-        allowed = np.zeros(self.pending.size, dtype=bool)
-        allowed[rows] = True
-        is_allowed = allowed.tolist()
         paths = self.index.paths
         residual = self.index.caps.copy()
         delivered: list[int] = []
         still: list[int] = []
-        held: list[int] = []
         for i in order:
-            if not is_allowed[i]:
-                held.append(i)
-                continue
             path = paths[i]
             if (residual[path] > 0).all():
                 residual[path] -= 1
                 delivered.append(i)
             else:
                 still.append(i)
-        self.order = still + held
+        self.order = still
         return Attempt(
             rows,
             np.array(sorted(delivered), dtype=np.int64),

@@ -34,8 +34,8 @@ class CycleStats:
     * ``congested`` — first delivery attempt failed (lost arbitration
       or corrupted);
     * ``retried`` — a repeat attempt failed again;
-    * ``deferred`` — made no attempt this cycle (backoff window,
-      circuit breaker open, or parked awaiting a scheduled repair);
+    * ``deferred`` — made no attempt this cycle (backoff window, or
+      parked awaiting a scheduled repair);
     * ``dropped`` — severed by a fault with no repair scheduled and
       abandoned this cycle.
 

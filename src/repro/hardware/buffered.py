@@ -168,8 +168,8 @@ class _StoreAndForward(DeliveryLoop):
         return self.hops[i, self.progress[i] :]
 
     def attempt(self, rows, t):
-        # ``rows`` are every queued message: none ever backs off, and no
-        # breaker trips, since a hop that is not taken is not a failure
+        # ``rows`` are every queued message: none ever backs off, since
+        # a hop that is not taken is not a failure
         at = self.hops[rows, self.progress[rows]]
         order = np.lexsort((self.key[rows], self.rank[at]))
         queued, at = rows[order], at[order]

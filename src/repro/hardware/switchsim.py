@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..core.delivery import IDLE, Attempt, DeliveryLoop, record_offline_cycles
+from ..core.delivery import Attempt, DeliveryLoop, record_offline_cycles
 from ..core.errors import UnroutableError
 from ..core.fattree import Direction, FatTree
 from ..core.message import MessageSet
@@ -716,8 +716,6 @@ class _SwitchSim(DeliveryLoop):
         self.reports: dict[int, DeliveryReport] = {}
 
     def attempt(self, rows, t):
-        if rows.size == 0:
-            return IDLE
         ft, ms = self.ft, self.messages
         src, dst = ms.src[rows], ms.dst[rows]
         cycle, report = _run_cycle(

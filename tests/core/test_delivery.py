@@ -231,8 +231,6 @@ HOOKS = {
     "begin_cycle",
     "severed_rows",
     "resolve_severed",
-    "breaker_blocked",
-    "note_outcomes",
     "record",
 }
 

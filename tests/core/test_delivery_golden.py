@@ -205,8 +205,10 @@ GOLDEN = _load() if CORPUS.exists() else []
 
 def test_fixture_covers_every_case():
     assert [row["case"] for row in GOLDEN] == golden_cases()
-    aborted = [row for row in GOLDEN if "timeout" in row["result"]]
-    assert len(aborted) == 2  # both on_severed="raise" runs really abort
+    aborted = [row["case"]["stack"] for row in GOLDEN if "timeout" in row["result"]]
+    # the random-rank on_severed="raise" run really aborts; the switchsim
+    # one delivers every message before its unrepaired severance lands
+    assert aborted == ["random_rank"]
     assert any(row["result"].get("dropped") for row in GOLDEN)
 
 
