@@ -11,23 +11,24 @@ invariant ``delivered + congested + retried + deferred + dropped ==
 in-flight``, and an *empty* timeline is guaranteed bit-identical to a
 healthy run.
 
-Entry points: :func:`run_chaos_random_rank`,
-:func:`run_chaos_online_retry`, :func:`run_chaos_switchsim`,
-:func:`run_chaos_store_and_forward` (runtime loops under chaos) and
-:func:`run_chaos_schedule` (off-line schedules replayed with
-incremental repair).
+Entry point: :func:`run_chaos` runs any
+:data:`~repro.core.registry.STACKS` row under a timeline — the runtime
+loops with the chaos controller attached, the off-line schedulers as a
+replay of their healthy schedule with incremental repair.
+:func:`check_chaos_run` and :func:`same_delivery` are the checks
+``repro chaos`` and the fuzz oracle share.
 """
 
 from .clock import ChaosClock
 from .engine import (
     ChaosController,
-    assert_delivered_floor,
+    chaos_options,
+    check_chaos_run,
     delivered_fraction,
-    run_chaos_online_retry,
+    run_chaos,
     run_chaos_random_rank,
-    run_chaos_schedule,
-    run_chaos_store_and_forward,
     run_chaos_switchsim,
+    same_delivery,
 )
 from .timeline import EVENT_KINDS, ChaosEvent, ChaosSchedule, random_timeline
 
@@ -38,11 +39,11 @@ __all__ = [
     "random_timeline",
     "ChaosClock",
     "ChaosController",
+    "run_chaos",
     "run_chaos_random_rank",
-    "run_chaos_online_retry",
     "run_chaos_switchsim",
-    "run_chaos_store_and_forward",
-    "run_chaos_schedule",
+    "chaos_options",
     "delivered_fraction",
-    "assert_delivered_floor",
+    "check_chaos_run",
+    "same_delivery",
 ]

@@ -1,14 +1,18 @@
-"""The chaos engine: controllers, recovery, and chaos entry points.
+"""The chaos engine: controllers, recovery, the chaos entry point and
+its checker.
 
-:class:`ChaosController` bundles one run's chaos machinery — a fresh
-mutable :class:`~repro.faults.DegradedFatTree` (the caller's tree is
-never mutated), the :class:`~repro.chaos.ChaosClock` and the per-cycle
-:class:`~repro.core.CycleStats` recorder.  Its per-cycle hooks have one
-caller, the delivery driver :class:`~repro.core.delivery.DeliveryLoop`,
-which every runtime loop runs (``schedule_random_rank``,
+:func:`run_chaos` runs any :data:`~repro.core.registry.STACKS` row
+under a chaos timeline.  It builds one :class:`ChaosController` — a
+fresh mutable :class:`~repro.faults.DegradedFatTree` (the caller's tree
+is never mutated), the :class:`~repro.chaos.ChaosClock` and the
+per-cycle :class:`~repro.core.CycleStats` recorder — and hands it as
+``chaos=`` to the row's entry point (``schedule_random_rank``,
 ``simulate_online_retry``, ``run_until_delivered``,
-``run_store_and_forward``; each takes the controller as ``chaos=``).
-Each cycle the loop calls :meth:`~ChaosController.begin_cycle`,
+``run_store_and_forward``) or, for an off-line row, to the schedule
+replay.  The controller's per-cycle hooks have one caller, the delivery
+driver :class:`~repro.core.delivery.DeliveryLoop`, which every one of
+those runs is.  Each cycle the loop calls
+:meth:`~ChaosController.begin_cycle`,
 :meth:`~ChaosController.severed_rows` and
 :meth:`~ChaosController.resolve_severed`, then hands the cycle's record
 to :meth:`~ChaosController.record`.  Failed rows retry under the run's
@@ -21,21 +25,19 @@ delta-updates the shared :class:`~repro.perf.PathIndex` via
 rebuild), newly-severed in-flight messages are *parked* until the
 timeline's matching repair (:meth:`ChaosClock.heal_cycle`) or dropped
 with full accounting when no repair is scheduled, and the off-line
-executor (:func:`run_chaos_schedule`) repairs each delivery cycle
-against the mutated capacities with
+replay repairs each delivery cycle against the mutated capacities with
 :meth:`~repro.core.LevelLoads.apply_delta` instead of rescheduling the
-remaining traffic from scratch (around that repair it runs the
-driver's budget, chaos step and record).
+remaining traffic from scratch.
 
 Every cycle of every chaos run satisfies the strengthened partition
 invariant — ``delivered + congested + retried + deferred + dropped ==
-in-flight`` — which :meth:`~repro.core.Schedule.validate` re-checks
-from the recorded stats.
+in-flight`` — which :func:`check_chaos_run` re-checks from the recorded
+stats, together with the delivered-plus-dropped multiset.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from ..core.load import channel_loads
 from ..core.message import MessageSet
 from ..core.registry import STACKS
 from ..core.schedule import CycleStats, Schedule, ScheduleError
-from ..faults.backoff import BackoffPolicy
 from ..faults.degraded import DegradedFatTree
 from ..faults.model import FaultModel
 from ..perf import PAD_GID, get_path_index
@@ -55,13 +56,13 @@ from .timeline import ChaosSchedule
 
 __all__ = [
     "ChaosController",
+    "run_chaos",
     "run_chaos_random_rank",
-    "run_chaos_online_retry",
     "run_chaos_switchsim",
-    "run_chaos_store_and_forward",
-    "run_chaos_schedule",
+    "chaos_options",
     "delivered_fraction",
-    "assert_delivered_floor",
+    "check_chaos_run",
+    "same_delivery",
 ]
 
 _ON_SEVERED = ("drop", "raise")
@@ -79,8 +80,8 @@ def _fresh_tree(ft: FatTree) -> DegradedFatTree:
 class ChaosController:
     """One chaos run's fault clock and accounting.
 
-    Single-use: construct one controller per run (the ``run_chaos_*``
-    entry points do).  The controller owns :attr:`tree` — a fresh
+    Single-use: construct one controller per run (:func:`run_chaos`
+    does).  The controller owns :attr:`tree` — a fresh
     degraded copy of the tree it was given — so a chaos run never
     mutates the caller's objects.
     """
@@ -90,7 +91,6 @@ class ChaosController:
         ft: FatTree,
         timeline: ChaosSchedule,
         *,
-        backoff: BackoffPolicy | None = None,
         on_severed: str = "drop",
         obs=None,
     ):
@@ -104,7 +104,6 @@ class ChaosController:
         self.tree = _fresh_tree(ft)
         self.timeline = timeline
         self.clock = ChaosClock(self.tree, timeline, obs=obs)
-        self.backoff = backoff
         self.on_severed = on_severed
         self.cycle_stats: list[CycleStats] = []
         self.dropped_rows: list[int] = []
@@ -230,254 +229,118 @@ class ChaosController:
         ]
 
 
-# -- runtime entry points --------------------------------------------------
+# -- the chaos entry point --------------------------------------------------
 
 
-def run_chaos_random_rank(
+def run_chaos(
+    stack: str,
     ft: FatTree,
     messages: MessageSet,
     timeline: ChaosSchedule,
     *,
-    seed: int = 0,
-    max_cycles: int = 100_000,
-    loss_rate: float | None = None,
-    backoff: BackoffPolicy | None = None,
     on_severed: str = "drop",
     obs=None,
-) -> Schedule:
-    """Random-rank on-line routing under a chaos timeline.
-
-    The returned :class:`Schedule` carries per-cycle
-    :class:`~repro.core.CycleStats` and the dropped sub-multiset; with
-    an empty timeline it is cycle-for-cycle bit-identical to
-    :func:`~repro.core.online.schedule_random_rank` on the same tree
-    and seed.  ``obs`` is forwarded to the underlying kernel.
-    """
-    from ..core.online import schedule_random_rank
-
-    ctrl = ChaosController(
-        ft, timeline, backoff=backoff, on_severed=on_severed, obs=obs
-    )
-    return schedule_random_rank(
-        ctrl.tree,
-        messages,
-        seed=seed,
-        max_cycles=max_cycles,
-        loss_rate=loss_rate,
-        backoff=backoff,
-        obs=obs,
-        chaos=ctrl,
-    )
-
-
-def run_chaos_online_retry(
-    ft: FatTree,
-    messages: MessageSet,
-    timeline: ChaosSchedule,
-    *,
-    seed: int = 0,
-    max_cycles: int = 100_000,
-    on_severed: str = "drop",
-    obs=None,
-) -> Schedule:
-    """The §II shuffle-and-retry loop under a chaos timeline.
-
-    Empty timeline ⇒ bit-identical to
-    :func:`~repro.core.greedy.simulate_online_retry`.  ``obs`` is
-    forwarded to the underlying loop.
-    """
-    from ..core.greedy import simulate_online_retry
-
-    ctrl = ChaosController(ft, timeline, on_severed=on_severed, obs=obs)
-    return simulate_online_retry(
-        ctrl.tree,
-        messages,
-        seed=seed,
-        max_cycles=max_cycles,
-        obs=obs,
-        chaos=ctrl,
-    )
-
-
-def run_chaos_switchsim(
-    ft: FatTree,
-    messages: MessageSet,
-    timeline: ChaosSchedule,
-    *,
-    concentrators: str = "ideal",
-    seed: int = 0,
-    payload_bits: int = 0,
-    fault_rate: float = 0.0,
-    max_cycles: int = 10_000,
-    backoff: BackoffPolicy | None = None,
-    on_severed: str = "drop",
-    obs=None,
+    **kernel_options,
 ):
-    """The bit-serial switch simulator's retry loop under chaos.
+    """Run the :data:`~repro.core.registry.STACKS` row ``stack`` under
+    a chaos timeline.
 
-    Empty timeline ⇒ bit-identical reports to
-    :func:`~repro.hardware.switchsim.run_until_delivered`.  ``obs`` is
-    forwarded into every delivery cycle.
+    An on-line or hardware row runs its entry point on the controller's
+    private tree with ``chaos=`` attached; ``kernel_options`` (``seed``,
+    ``max_cycles``, ``loss_rate``, ``concentrators``, …) go to that
+    entry point, whose own defaults hold otherwise.  An off-line row
+    replays its healthy schedule with incremental repair
+    (``max_cycles`` is then the replay's budget, default 100 000).
+    The result is the row's own type, carrying per-cycle
+    :class:`~repro.core.CycleStats` and the dropped messages; with an
+    empty timeline it is bit-identical to the healthy run.  ``obs`` is
+    forwarded to the run.
     """
-    from ..hardware.switchsim import run_until_delivered
-
-    ctrl = ChaosController(
-        ft, timeline, backoff=backoff, on_severed=on_severed, obs=obs
-    )
-    return run_until_delivered(
-        ctrl.tree,
-        messages,
-        concentrators=concentrators,
-        seed=seed,
-        payload_bits=payload_bits,
-        fault_rate=fault_rate,
-        max_cycles=max_cycles,
-        backoff=backoff,
-        obs=obs,
-        chaos=ctrl,
-    )
-
-
-def run_chaos_store_and_forward(
-    ft: FatTree,
-    messages: MessageSet,
-    timeline: ChaosSchedule,
-    *,
-    max_steps: int = 1_000_000,
-    on_severed: str = "drop",
-    obs=None,
-):
-    """The buffered store-and-forward design under chaos.
-
-    A severed channel simply parks its queue (store-and-forward is
-    self-healing by nature); messages whose severed hop never repairs
-    are dropped with accounting.  Empty timeline ⇒ bit-identical to
-    :func:`~repro.hardware.buffered.run_store_and_forward`.  ``obs``
-    is forwarded to the underlying simulator.
-    """
-    from ..hardware.buffered import run_store_and_forward
-
+    row = STACKS.get(stack)
+    if row is None:
+        raise ValueError(f"stack must be one of {tuple(STACKS)}, got {stack!r}")
     ctrl = ChaosController(ft, timeline, on_severed=on_severed, obs=obs)
-    return run_store_and_forward(
-        ctrl.tree, messages, max_steps=max_steps, obs=obs, chaos=ctrl
-    )
+    if row.kind == "offline":
+        return _run_chaos_schedule(ctrl, messages, stack, obs=obs, **kernel_options)
+    return row.function()(ctrl.tree, messages, obs=obs, chaos=ctrl, **kernel_options)
 
 
-_OFFLINE_SCHEDULERS = tuple(n for n, s in STACKS.items() if s.kind == "offline")
+def run_chaos_random_rank(ft, messages, timeline, *, obs=None, **options) -> Schedule:
+    """:func:`run_chaos` of ``"random-rank"``."""
+    return run_chaos("random-rank", ft, messages, timeline, obs=obs, **options)
 
 
-def run_chaos_schedule(
-    ft: FatTree,
-    messages: MessageSet,
-    timeline: ChaosSchedule,
-    *,
-    scheduler: str = "theorem1",
-    schedule: Schedule | None = None,
-    max_cycles: int = 100_000,
-    on_severed: str = "drop",
-    obs=None,
-) -> Schedule:
-    """Execute an off-line schedule while the tree degrades under it.
+def run_chaos_switchsim(ft, messages, timeline, *, obs=None, **options):
+    """:func:`run_chaos` of ``"switchsim"``."""
+    return run_chaos("switchsim", ft, messages, timeline, obs=obs, **options)
 
-    Builds (or takes) a healthy schedule for the *initial* tree, then
-    replays it cycle by cycle against the chaos timeline.  Each head
-    cycle is *repaired* against the current capacities instead of
-    rescheduling the remaining traffic from scratch: messages over a
-    now-overloaded channel are evicted to the next cycle (first-come
-    kept, excess deferred) and the repair is verified incrementally
-    with :meth:`~repro.core.LevelLoads.apply_delta`; severed messages
-    park until their scheduled repair or drop.  With an empty timeline
-    the output cycles equal the input schedule's exactly.
 
-    Returns a :class:`Schedule` with per-cycle stats and drops; raises
-    :class:`DeliveryTimeout` past ``max_cycles`` and, with
-    ``on_severed="raise"``, on the first unrepairable severance.
-    ``obs`` is threaded through scheduling and receives one ``cycle``
-    record per replayed cycle under the ``chaos_<scheduler>`` label.
+def chaos_options(stack: str, *, seed: int, max_cycles: int) -> dict[str, int]:
+    """The :func:`run_chaos` options of one seeded run of ``stack``
+    within ``max_cycles``: seeded rows take both (the switch simulator
+    at most its own 10 000-cycle budget), the off-line replay the
+    budget, and store-and-forward neither."""
+    row = STACKS[stack]
+    if row.seeded:
+        budget = min(max_cycles, 10_000) if row.kind == "hardware" else max_cycles
+        return {"seed": seed, "max_cycles": budget}
+    return {"max_cycles": max_cycles} if row.kind == "offline" else {}
+
+
+class _Replay(DeliveryLoop):
+    """An off-line schedule replayed while the tree degrades under it.
+
+    Row ``i`` starts out waiting for its scheduled cycle (``next_try``),
+    so the loop's eligibility rule hands :meth:`attempt` exactly that
+    cycle's rows plus the rows it carries over; :attr:`key` then
+    restores the head's order: last cycle's evicted rows first (in
+    head order), then the scheduled rows (in schedule order), then the
+    released parked rows (by row).
     """
-    if scheduler not in _OFFLINE_SCHEDULERS:
-        raise ValueError(
-            f"scheduler must be one of {_OFFLINE_SCHEDULERS}, got {scheduler!r}"
-        )
-    from ..obs import resolve_obs
 
-    ctrl = ChaosController(ft, timeline, on_severed=on_severed, obs=obs)
-    tree = ctrl.tree
-    routable = messages.without_self_messages()
-    n_self = len(messages) - len(routable)
-    if schedule is None:
-        # off-line stacks are unseeded: ``seed`` is ignored
-        schedule = STACKS[scheduler].run(
-            tree, messages, seed=0, max_cycles=max_cycles, obs=obs
-        )
-    loop = DeliveryLoop(
-        tree,
-        routable,
-        get_path_index(tree, routable, obs=obs),
-        scheduler=f"chaos_{scheduler}",
-        max_cycles=max_cycles,
-        obs=resolve_obs(obs),
-        chaos=ctrl,
-    )
+    def __init__(self, ft, routable, index, schedule, **loop_args):
+        super().__init__(ft, routable, index, **loop_args)
+        m = len(routable)
+        self.key = np.empty(m, dtype=np.int64)
+        # map the schedule's cycles onto rows (multiset match)
+        buckets: dict[tuple[int, int], list[int]] = {}
+        for i, pair in enumerate(zip(routable.src.tolist(), routable.dst.tolist())):
+            buckets.setdefault(pair, []).append(i)
+        for t, cycle in enumerate(schedule.cycles):
+            for pos, pair in enumerate(zip(cycle.src.tolist(), cycle.dst.tolist())):
+                i = buckets[pair].pop()
+                self.next_try[i] = t
+                self.key[i] = m + pos
 
-    # map the schedule's cycles onto master row indices (multiset match)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i, (s, d) in enumerate(
-        zip(routable.src.tolist(), routable.dst.tolist())
-    ):
-        buckets.setdefault((s, d), []).append(i)
-    queue: deque[np.ndarray] = deque()
-    for cycle in schedule.cycles:
-        rows = [
-            buckets[(int(s), int(d))].pop()
-            for s, d in zip(cycle.src.tolist(), cycle.dst.tolist())
-        ]
-        queue.append(np.asarray(rows, dtype=np.int64))
+    def chaos_step(self, t):
+        drops, park = super().chaos_step(t)
+        for i in park:
+            self.key[i] = 2 * len(self.key) + i
+        return drops, park
 
-    parked: dict[int, int] = {}
-    t = 0
-    while loop.n_pending[0]:
-        if loop.over_budget(t):
-            break
-        in_flight = loop.n_pending[:]
-        drops, park = loop.chaos_step(t)
-        index = loop.index
+    def attempt(self, rows, t):
+        head = rows[np.argsort(self.key[rows], kind="stable")]
+        tree, index = self.chaos.tree, self.index
         caps = index.caps
-        moved = set(drops) | set(park)
-        if moved:
-            queue = deque(
-                rows[~np.isin(rows, np.asarray(sorted(moved), dtype=np.int64))]
-                for rows in queue
-            )
-            for i in drops:
-                parked.pop(i, None)
-            parked.update(park)
-        # release parked rows whose repair has landed
-        due = sorted(i for i, h in parked.items() if h <= t)
-        for i in due:
-            del parked[i]
-        head = queue.popleft() if queue else np.empty(0, dtype=np.int64)
-        if due:
-            head = np.concatenate([head, np.asarray(due, dtype=np.int64)])
         # repair the head against current capacities: evict the excess
         keep_mask = np.ones(head.size, dtype=bool)
-        if head.size:
-            lv = index.load_vector(head)
-            for gid in np.flatnonzero(lv > caps).tolist():
-                crossing = np.flatnonzero(
-                    (index.paths[head] == gid).any(axis=1) & keep_mask
-                )
-                allowed = int(caps[gid])
-                if crossing.size > allowed:
-                    keep_mask[crossing[allowed:]] = False
-        delivered_rows = head[keep_mask]
+        lv = index.load_vector(head)
+        for gid in np.flatnonzero(lv > caps).tolist():
+            crossing = np.flatnonzero(
+                (index.paths[head] == gid).any(axis=1) & keep_mask
+            )
+            allowed = int(caps[gid])
+            if crossing.size > allowed:
+                keep_mask[crossing[allowed:]] = False
         evicted = head[~keep_mask]
+        # last cycle's evicted rows lead the next head, in head order
+        self.key[evicted] = np.arange(evicted.size)
         if evicted.size:
             # verify the repair incrementally: removing the evicted
             # rows from the head's loads must leave a one-cycle set
             # against the *current* (mutated) capacities
-            loads = channel_loads(tree, routable.take(head)).apply_delta(
-                removed=routable.take(evicted)
+            loads = channel_loads(tree, self.messages.take(head)).apply_delta(
+                removed=self.messages.take(evicted)
             )
             for k in range(1, tree.depth + 1):
                 over_up = loads.up[k] > tree.cap_vector(k, Direction.UP)
@@ -489,25 +352,57 @@ def run_chaos_schedule(
                     )
         # every head row is charged an attempt: an evicted row is
         # congested on its first eviction and retried after that
-        loop.finish_cycle(
-            t, in_flight, len(drops), Attempt(head, delivered_rows, evicted)
-        )
-        if evicted.size:
-            if queue:
-                queue[0] = np.concatenate([evicted, queue[0]])
-            else:
-                queue.append(evicted)
-        t += 1
-    loop.raise_failure()
+        return Attempt(head, head[keep_mask], evicted)
+
+
+def _run_chaos_schedule(
+    ctrl: ChaosController,
+    messages: MessageSet,
+    stack: str,
+    *,
+    max_cycles: int = 100_000,
+    obs=None,
+) -> Schedule:
+    """Execute ``stack``'s off-line schedule while the tree degrades under it.
+
+    Builds a healthy schedule for the *initial* tree, then replays it
+    cycle by cycle against the chaos timeline.  Each cycle is
+    *repaired* against the current capacities instead of rescheduling
+    the remaining traffic from scratch: messages over a now-overloaded
+    channel are evicted to the next cycle (first-come kept, excess
+    deferred) and the repair is verified incrementally with
+    :meth:`~repro.core.LevelLoads.apply_delta`; severed messages park
+    until their scheduled repair or drop.  With an empty timeline the
+    output cycles equal the input schedule's exactly.  ``obs`` is
+    threaded through scheduling and receives one ``cycle`` record per
+    replayed cycle under the ``chaos_<stack>`` scheduler.
+    """
+    from ..obs import resolve_obs
+
+    tree = ctrl.tree
+    routable = messages.without_self_messages()
+    # off-line stacks are unseeded: ``seed`` is ignored
+    schedule = STACKS[stack].run(tree, messages, seed=0, max_cycles=max_cycles, obs=obs)
+    loop = _Replay(
+        tree,
+        routable,
+        get_path_index(tree, routable, obs=obs),
+        schedule,
+        scheduler=f"chaos_{stack}",
+        max_cycles=max_cycles,
+        obs=resolve_obs(obs),
+        chaos=ctrl,
+    )
+    loop.run()
     return Schedule(
         cycles=[routable.take(rows) for rows in loop.delivered_log],
-        n_self_messages=n_self,
+        n_self_messages=len(messages) - len(routable),
         cycle_stats=ctrl.cycle_stats,
         dropped=ctrl.dropped_messages(routable),
     )
 
 
-# -- graceful-degradation gates --------------------------------------------
+# -- the checker ---------------------------------------------------------
 
 
 def delivered_fraction(result) -> float:
@@ -532,15 +427,62 @@ def delivered_fraction(result) -> float:
     return 1.0 if total == 0 else delivered / total
 
 
-def assert_delivered_floor(result, floor: float) -> float:
-    """The graceful-degradation gate: delivered fraction >= ``floor``.
+def check_chaos_run(ft: FatTree, messages: MessageSet, result) -> list[str]:
+    """The invariants every chaos run of ``messages`` on ``ft`` keeps;
+    returns the violations (empty: clean).
 
-    Returns the measured fraction; raises ``AssertionError`` below the
-    declared floor.
+    A :class:`~repro.core.Schedule` passes
+    :meth:`~repro.core.Schedule.validate` (one-cycle cycles, the
+    per-cycle outcome partitions, delivered + dropped == the routed
+    multiset).  A hardware result re-checks each cycle's outcome
+    partition, leaves nothing in flight, and its delivered plus dropped
+    messages are the routed multiset: every message for the switch
+    simulator, which delivers self-messages, and the others for
+    store-and-forward.
     """
-    fraction = delivered_fraction(result)
-    if fraction + 1e-12 < floor:
-        raise AssertionError(
-            f"delivered fraction {fraction:.4f} below declared floor {floor:.4f}"
-        )
-    return fraction
+    if isinstance(result, Schedule):
+        try:
+            result.validate(ft, messages)
+        except ScheduleError as exc:
+            return [f"invalid schedule: {exc}"]
+        return []
+    problems: list[str] = []
+    try:
+        for stats in result.cycle_stats:
+            stats.check()
+    except ScheduleError as exc:
+        problems.append(f"cycle stats: {exc}")
+    if result.cycle_stats:
+        last = result.cycle_stats[-1]
+        leftover = last.in_flight - last.delivered - last.dropped
+        if leftover:
+            problems.append(f"final cycle leaves {leftover} in flight")
+    if hasattr(result, "reports"):  # RetryOutcome
+        routed = messages
+        delivered = Counter((f.src, f.dst) for r in result.reports for f in r.delivered)
+    else:  # BufferedRun: a delivered message has a latency, a dropped one none
+        routed = messages.without_self_messages()
+        delivered = Counter(routed.take(result.latencies > 0))
+    if delivered + Counter(result.dropped) != Counter(routed):
+        problems.append("delivered + dropped does not partition the message multiset")
+    return problems
+
+
+def _delivery(result):
+    """What a run delivered and when: the part of its result that an
+    empty timeline leaves bit-identical."""
+    if isinstance(result, Schedule):
+        return [cycle.as_pairs() for cycle in result.cycles], result.n_self_messages
+    if hasattr(result, "reports"):  # RetryOutcome
+        reports = [
+            ([(f.src, f.dst) for f in r.delivered], len(r.congested), len(r.deferred), r.wave_ticks)
+            for r in result.reports
+        ]
+        return result.cycles, result.attempts, reports
+    return result.makespan, result.latencies.tolist(), result.max_queue_depth
+
+
+def same_delivery(healthy, chaos) -> bool:
+    """Whether a chaos run delivered exactly what the healthy run did,
+    in the same cycles and order (the empty-timeline identity)."""
+    return _delivery(healthy) == _delivery(chaos)

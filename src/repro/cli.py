@@ -583,89 +583,43 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
-#: the chaos-instrumented stacks ``repro chaos`` rotates through
+#: the stacks ``repro chaos`` rotates through (``offline`` is Theorem 1)
 _CHAOS_STACKS = ("random-rank", "online-retry", "switchsim", "buffered", "offline")
-
-
-def _run_chaos_stack(stack, ft, m, timeline, *, seed, max_cycles):
-    """Run one chaos-instrumented stack; returns its result object."""
-    from .chaos import (
-        run_chaos_online_retry,
-        run_chaos_random_rank,
-        run_chaos_schedule,
-        run_chaos_store_and_forward,
-        run_chaos_switchsim,
-    )
-
-    if stack == "random-rank":
-        return run_chaos_random_rank(
-            ft, m, timeline, seed=seed, max_cycles=max_cycles
-        )
-    if stack == "online-retry":
-        return run_chaos_online_retry(
-            ft, m, timeline, seed=seed, max_cycles=max_cycles
-        )
-    if stack == "switchsim":
-        return run_chaos_switchsim(
-            ft, m, timeline, seed=seed, max_cycles=min(max_cycles, 10_000)
-        )
-    if stack == "buffered":
-        return run_chaos_store_and_forward(ft, m, timeline)
-    return run_chaos_schedule(
-        ft, m, timeline, scheduler="theorem1", max_cycles=max_cycles
-    )
-
-
-def _check_chaos_run(stack, ft, m, result) -> list[str]:
-    """The per-run invariants ``repro chaos`` enforces; returns the
-    violations (empty list = clean)."""
-    from .core.schedule import Schedule, ScheduleError
-
-    problems: list[str] = []
-    if isinstance(result, Schedule):
-        try:
-            result.validate(ft, m)
-        except ScheduleError as exc:
-            problems.append(f"invalid schedule: {exc}")
-        return problems
-    # hardware stacks: re-check every per-cycle outcome partition and
-    # that the run ends with nothing in flight
-    try:
-        for stats in result.cycle_stats:
-            stats.check()
-    except ScheduleError as exc:
-        problems.append(f"cycle stats: {exc}")
-    if result.cycle_stats:
-        last = result.cycle_stats[-1]
-        leftover = last.in_flight - last.delivered - last.dropped
-        if leftover:
-            problems.append(f"final cycle leaves {leftover} in flight")
-    return problems
 
 
 def cmd_chaos(args) -> int:
     import numpy as np
 
-    from .chaos import ChaosSchedule, delivered_fraction, random_timeline
-    from .core import schedule_random_rank
+    from .chaos import (
+        ChaosSchedule,
+        chaos_options,
+        check_chaos_run,
+        delivered_fraction,
+        random_timeline,
+        run_chaos,
+        same_delivery,
+    )
     from .workloads import uniform_random
 
     ft = _make_fattree(args.n, args.w)
     m = uniform_random(args.n, args.messages, seed=args.seed)
 
     # empty-timeline bit-identity: chaos instrumentation must be free
-    from .chaos import run_chaos_random_rank
-
-    healthy = schedule_random_rank(ft, m, seed=args.seed, max_cycles=args.max_cycles)
-    empty = run_chaos_random_rank(
-        ft, m, ChaosSchedule(), seed=args.seed, max_cycles=args.max_cycles
-    )
-    if [c.as_pairs() for c in healthy.cycles] != [c.as_pairs() for c in empty.cycles]:
-        print(
-            "error: empty-timeline chaos run diverged from the healthy run",
-            file=sys.stderr,
+    for stack in _CHAOS_STACKS:
+        name = "theorem1" if stack == "offline" else stack
+        options = chaos_options(name, seed=args.seed, max_cycles=args.max_cycles)
+        # the healthy run with the same seed and budget (buffered takes neither)
+        healthy = STACKS[name].run(
+            ft, m, seed=args.seed, max_cycles=options.get("max_cycles", 0)
         )
-        return 3
+        empty = run_chaos(name, ft, m, ChaosSchedule(), **options)
+        if not same_delivery(healthy, empty):
+            print(
+                f"error: empty-timeline chaos run [{stack}] diverged from the "
+                "healthy run",
+                file=sys.stderr,
+            )
+            return 3
 
     totals: dict[str, dict] = {
         s: {"runs": 0, "fraction": 0.0, "worst": 1.0, "dropped": 0}
@@ -684,15 +638,12 @@ def cmd_chaos(args) -> int:
             repair_bias=0.8,
         )
         stack = _CHAOS_STACKS[i % len(_CHAOS_STACKS)]
+        name = "theorem1" if stack == "offline" else stack
+        options = chaos_options(
+            name, seed=int(rng.integers(0, 2**31)), max_cycles=args.max_cycles
+        )
         try:
-            result = _run_chaos_stack(
-                stack,
-                ft,
-                traffic,
-                timeline,
-                seed=int(rng.integers(0, 2**31)),
-                max_cycles=args.max_cycles,
-            )
+            result = run_chaos(name, ft, traffic, timeline, **options)
         except Exception as exc:  # noqa: BLE001 - every escape is a violation
             print(
                 f"error: iteration {i} [{stack}]: "
@@ -701,7 +652,7 @@ def cmd_chaos(args) -> int:
             )
             print(f"timeline: {timeline.to_json()}", file=sys.stderr)
             return 3
-        problems = _check_chaos_run(stack, ft, traffic, result)
+        problems = check_chaos_run(ft, traffic, result)
         fraction = delivered_fraction(result)
         if args.floor and fraction < args.floor:
             problems.append(

@@ -2,7 +2,8 @@
 
 Each delivery cycle, pending messages try to cross the network;
 messages that lose a channel are not acknowledged and retry in a later
-cycle.  Every on-line stack runs that loop:
+cycle.  Every on-line stack runs that loop, and so does the off-line
+chaos replay:
 
 * random-rank contention (:func:`~repro.core.online.schedule_random_rank`),
   and its batched form (:func:`~repro.perf.batch_schedule` with
@@ -10,7 +11,10 @@ cycle.  Every on-line stack runs that loop:
 * shuffle-and-retry (:func:`~repro.core.greedy.simulate_online_retry`),
 * the bit-serial switch simulator
   (:func:`~repro.hardware.switchsim.run_until_delivered`),
-* store-and-forward (:func:`~repro.hardware.buffered.run_store_and_forward`).
+* store-and-forward (:func:`~repro.hardware.buffered.run_store_and_forward`),
+* the off-line chaos replay (:func:`~repro.chaos.run_chaos` of an
+  off-line stack), which repairs each scheduled cycle against the
+  degraded capacities.
 
 Each is a :class:`DeliveryLoop` subclass that supplies only its attempt
 step — "these eligible rows at cycle t → delivered / failed" — and the
@@ -36,10 +40,6 @@ carries (a solo run is one set):
 A set that fails retires and the others run on; once every set is done
 the loop raises the lowest-index failure, so a solo run raises exactly
 at its budget, livelock or stall.
-
-The off-line chaos replay (:func:`~repro.chaos.run_chaos_schedule`)
-keeps its own eviction repair and drives the budget, chaos step,
-record and raise pieces itself.
 
 :func:`record_cycle` is the one per-cycle obs emitter.  Every scheduler
 — the loops above, both batch kernels and the off-line schedulers

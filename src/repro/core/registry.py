@@ -1,6 +1,6 @@
 """The routing-stack registry: one ``name → Stack`` row per entry point.
 
-``repro trace``, the fuzz oracle, the chaos off-line executor,
+``repro trace``, the fuzz oracle, the chaos entry point,
 ``repro batch`` and the serve protocol all read this table, so adding a
 stack is one :data:`STACKS` row.  Keys are the CLI spellings.  Entry
 points are imported at call time: ``repro.core`` never imports
@@ -9,6 +9,7 @@ points are imported at call time: ``repro.core`` never imports
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import import_module
 from typing import TYPE_CHECKING, Any, Literal
@@ -33,12 +34,17 @@ class Stack:
     seeded: bool
     batch: str | None = None
 
+    def function(self) -> Callable[..., Any]:
+        """The entry point, imported now (so attribute wrappers see it)."""
+        module, _, name = self.entry.partition(":")
+        fn: Callable[..., Any] = getattr(import_module(module), name)
+        return fn
+
     def run(
         self, ft: FatTree, m: MessageSet, *, seed: int, max_cycles: int, obs: Obs | None = None
     ) -> Any:
         """Run the entry point (unseeded ones ignore ``seed``/``max_cycles``)."""
-        module, _, name = self.entry.partition(":")
-        fn = getattr(import_module(module), name)
+        fn = self.function()
         if self.seeded:
             return fn(ft, m, seed=seed, max_cycles=max_cycles, obs=obs)
         return fn(ft, m, obs=obs)

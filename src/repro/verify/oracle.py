@@ -32,15 +32,16 @@ through every entry point and cross-checks:
   per-cycle ``cycle`` events under the stack's registry ``label``
   match the returned schedule exactly, and tracing never perturbs the
   RNG (traced and untraced runs are bit-identical);
-* chaos conformance (:mod:`repro.chaos`): an *empty*-timeline chaos run
-  is bit-identical to the healthy run (run last, so it doubles as proof
-  that real-timeline chaos runs leave no footprint on the caller's
-  tree); for cases carrying a timeline, the chaos random-rank run and
-  the self-healing off-line executor both satisfy the strengthened
-  partition invariant (:meth:`Schedule.validate` over ``cycle_stats``),
-  delivered + dropped exactly partitions the message multiset, and the
-  cycles before the first fault event equal the healthy run's
-  (healthy-prefix equivalence).
+* chaos conformance (:mod:`repro.chaos`) for every stack that ran
+  healthy, reported as ``chaos-<stack>``: for cases carrying a
+  timeline, the chaos run passes :func:`~repro.chaos.check_chaos_run`
+  (the per-cycle partition invariant, nothing left in flight,
+  delivered + dropped exactly partitions the message multiset) and
+  random-rank's cycles before the first fault event equal the healthy
+  run's (healthy-prefix equivalence); then an *empty*-timeline chaos
+  run is bit-identical to the healthy run (run last, so it doubles as
+  proof that real-timeline chaos runs leave no footprint on the
+  caller's tree).
 
 A failing case raises :class:`ConformanceError` carrying every failed
 check plus the case's JSON, which :mod:`repro.verify.shrink` then
@@ -104,6 +105,14 @@ def _schedule_pairs(sched: Schedule) -> list[list[tuple[int, int]]]:
     return [cycle.as_pairs() for cycle in sched.cycles]
 
 
+def _cycles(result) -> int:
+    """A run's cycle count: schedule cycles, switch-simulator delivery
+    cycles or store-and-forward makespan."""
+    if isinstance(result, Schedule):
+        return result.num_cycles
+    return result.makespan if hasattr(result, "makespan") else result.cycles
+
+
 def _delivered_counter(sched: Schedule) -> Counter:
     """Multiset of messages the schedule delivers (self-messages excluded)."""
     total: Counter = Counter()
@@ -126,32 +135,10 @@ class DifferentialOracle:
         ``fn(ft, messages, *, seed, max_cycles, obs=None) -> Schedule``.
         This is the mutation-testing hook: an intentionally broken
         scheduler must be caught by the checks.
-    run_hardware:
-        Also run the buffered store-and-forward design and the
-        bit-serial switch simulator (on by default; the hardware stacks
-        dominate the oracle's runtime on larger cases).
-    check_obs:
-        Re-run the instrumented stacks with tracing enabled and verify
-        event accounting and RNG-neutrality.
-    check_chaos:
-        Run the chaos conformance checks (empty-timeline bit-identity
-        always; partition/accounting/healthy-prefix checks when the
-        case carries a timeline).
     """
 
-    def __init__(
-        self,
-        *,
-        max_cycles: int = 100_000,
-        overrides: dict | None = None,
-        run_hardware: bool = True,
-        check_obs: bool = True,
-        check_chaos: bool = True,
-    ):
+    def __init__(self, *, max_cycles: int = 100_000, overrides: dict | None = None):
         self.max_cycles = int(max_cycles)
-        self.run_hardware = bool(run_hardware)
-        self.check_obs = bool(check_obs)
-        self.check_chaos = bool(check_chaos)
         self._schedulers = {name: STACKS[name].run for name in SCHEDULE_STACKS}
         if overrides:
             unknown = set(overrides) - set(self._schedulers)
@@ -229,16 +216,13 @@ class DifferentialOracle:
                 _delivered_counter(sched) == expected,
                 f"{name}: delivered multiset differs from the message set",
             )
-        if self.check_obs:
-            self._check_obs_accounting(ft, routable_input, case, schedules, check)
-        if self.run_hardware:
-            self._check_hardware(
-                ft, routable_input, nonself, lam, schedules, check, report
-            )
-        if self.check_chaos:
-            self._check_chaos(
-                ft, routable_input, expected, case, schedules, check, report
-            )
+        self._check_obs_accounting(ft, routable_input, case, schedules, check)
+        hardware = self._check_hardware(
+            ft, routable_input, nonself, lam, schedules, check, report
+        )
+        self._check_chaos(
+            ft, routable_input, case, {**schedules, **hardware}, check, report
+        )
         return report
 
     def _check_unroutable_refused(self, ft, messages, check) -> None:
@@ -453,19 +437,22 @@ class DifferentialOracle:
 
     def _check_hardware(
         self, ft, routable_input, nonself, lam, schedules, check, report
-    ) -> None:
+    ) -> dict:
         """The two hardware stacks: buffered store-and-forward and the
-        bit-serial switch simulator (plus end-to-end schedule execution)."""
+        bit-serial switch simulator (plus end-to-end schedule execution).
+        Returns the runs that completed, by stack name."""
         from ..hardware.buffered import run_store_and_forward
         from ..hardware.switchsim import run_schedule, run_until_delivered
 
         m = len(nonself)
+        results: dict = {}
         try:
             run = run_store_and_forward(ft, routable_input)
         except (RuntimeError, UnroutableError, AssertionError) as exc:
             check(False, f"buffered: raised {type(exc).__name__}: {exc}")
             run = None
         if run is not None:
+            results["buffered"] = run
             report.cycles["buffered"] = run.makespan
             check(
                 run.latencies.size == m,
@@ -495,6 +482,7 @@ class DifferentialOracle:
             check(False, f"switchsim: raised {type(exc).__name__}: {exc}")
             outcome = None
         if outcome is not None:
+            results["switchsim"] = outcome
             report.cycles["switchsim"] = outcome.cycles
             delivered: Counter = Counter()
             for rep in outcome.reports:
@@ -512,50 +500,32 @@ class DifferentialOracle:
                     False,
                     f"switchsim: Theorem 1 schedule lost messages end-to-end: {exc}",
                 )
+        return results
 
-    def _check_chaos(
-        self, ft, routable_input, expected, case, schedules, check, report
-    ) -> None:
-        """Chaos conformance: partition invariant, delivered + dropped
-        accounting and healthy-prefix equivalence for timeline cases,
-        then empty-timeline bit-identity (run last, so it doubles as a
-        no-footprint check on the caller's tree)."""
-        from ..chaos import ChaosSchedule, run_chaos_random_rank, run_chaos_schedule
+    def _check_chaos(self, ft, routable_input, case, healthy, check, report) -> None:
+        """Chaos conformance of every stack that ran healthy (``healthy``
+        maps its name to its result): a timeline run passes
+        :func:`~repro.chaos.check_chaos_run`, random-rank's healthy
+        prefix holds, and an empty-timeline run, run last so it doubles
+        as a no-footprint check on the caller's tree, is bit-identical
+        to the healthy run."""
+        from ..chaos import (
+            ChaosSchedule,
+            chaos_options,
+            check_chaos_run,
+            run_chaos,
+            same_delivery,
+        )
 
-        healthy = schedules.get("random-rank")
-        if healthy is None:
-            return
         timeline = case.chaos_timeline()
-        if not timeline.empty:
-            chaos_runs = [
-                (
-                    "chaos-random-rank",
-                    lambda: run_chaos_random_rank(
-                        ft,
-                        routable_input,
-                        timeline,
-                        seed=case.seed,
-                        max_cycles=self.max_cycles,
-                    ),
-                )
-            ]
-            if "theorem1" in schedules:
-                chaos_runs.append(
-                    (
-                        "chaos-theorem1",
-                        lambda: run_chaos_schedule(
-                            ft,
-                            routable_input,
-                            timeline,
-                            scheduler="theorem1",
-                            max_cycles=self.max_cycles,
-                        ),
-                    )
-                )
-            first_event = timeline.events[0].at
-            for name, run in chaos_runs:
+        timelines = [ChaosSchedule()] if timeline.empty else [timeline, ChaosSchedule()]
+        for name in (n for n in STACKS if n in healthy):
+            label = f"chaos-{name}"
+            seed = self._hardware_seed(case) if name == "switchsim" else case.seed
+            options = chaos_options(name, seed=seed, max_cycles=self.max_cycles)
+            for tl in timelines:
                 try:
-                    sched = run()
+                    result = run_chaos(name, ft, routable_input, tl, **options)
                 except (
                     DeliveryTimeout,
                     ScheduleError,
@@ -563,60 +533,28 @@ class DifferentialOracle:
                     RuntimeError,
                     AssertionError,
                 ) as exc:
-                    check(False, f"{name}: raised {type(exc).__name__}: {exc}")
+                    check(False, f"{label}: raised {type(exc).__name__}: {exc}")
                     continue
-                report.cycles[name] = sched.num_cycles
-                try:
-                    sched.validate(ft, routable_input)
-                    check(True, "")
-                except ScheduleError as exc:
-                    check(False, f"{name}: invalid chaos schedule: {exc}")
-                delivered = _delivered_counter(sched)
-                dropped = Counter(sched.dropped) if sched.dropped is not None else Counter()
-                check(
-                    delivered + dropped == expected,
-                    f"{name}: delivered + dropped does not partition the "
-                    "message multiset",
-                )
-                if name == "chaos-random-rank":
-                    pairs = _schedule_pairs(sched)
-                    healthy_pairs = _schedule_pairs(healthy)
+                problems = check_chaos_run(ft, routable_input, result)
+                check(not problems, f"{label}: {'; '.join(problems)}")
+                if tl.empty:
+                    check(
+                        same_delivery(healthy[name], result),
+                        f"{label}: empty-timeline run is not bit-identical "
+                        "to the healthy run",
+                    )
+                    continue
+                report.cycles[label] = _cycles(result)
+                if name == "random-rank":
+                    pairs = _schedule_pairs(result)
+                    healthy_pairs = _schedule_pairs(healthy[name])
+                    first_event = timeline.events[0].at
                     prefix = min(first_event, len(pairs), len(healthy_pairs))
                     check(
                         pairs[:prefix] == healthy_pairs[:prefix],
-                        f"{name}: cycles before the first fault event "
+                        f"{label}: cycles before the first fault event "
                         f"(t < {first_event}) diverge from the healthy run",
                     )
-        try:
-            empty = run_chaos_random_rank(
-                ft,
-                routable_input,
-                ChaosSchedule(),
-                seed=case.seed,
-                max_cycles=self.max_cycles,
-            )
-        except (
-            DeliveryTimeout,
-            ScheduleError,
-            ValueError,
-            RuntimeError,
-            AssertionError,
-        ) as exc:
-            check(
-                False,
-                f"chaos-empty: raised {type(exc).__name__}: {exc}",
-            )
-            return
-        check(
-            _schedule_pairs(empty) == _schedule_pairs(healthy),
-            "chaos-empty: empty-timeline chaos run is not bit-identical "
-            "to the healthy random-rank run",
-        )
-        try:
-            empty.validate(ft, routable_input)
-            check(True, "")
-        except ScheduleError as exc:
-            check(False, f"chaos-empty: invalid schedule: {exc}")
 
     @staticmethod
     def _hardware_seed(case: FuzzCase) -> int:

@@ -1,6 +1,6 @@
-"""The chaos runtime entry points: empty-timeline bit-identity, the
-per-cycle partition invariant, drop/park/abort accounting, and the
-graceful-degradation gates."""
+"""The chaos entry point: empty-timeline bit-identity, the per-cycle
+partition invariant, drop/park/abort accounting, and the
+delivered-fraction view."""
 
 import dataclasses
 
@@ -10,29 +10,26 @@ import pytest
 from repro.chaos import (
     ChaosEvent,
     ChaosSchedule,
-    assert_delivered_floor,
+    chaos_options,
+    check_chaos_run,
     delivered_fraction,
     random_timeline,
-    run_chaos_online_retry,
+    run_chaos,
     run_chaos_random_rank,
-    run_chaos_schedule,
-    run_chaos_store_and_forward,
     run_chaos_switchsim,
+    same_delivery,
 )
 from repro.core import (
+    ConstantCapacity,
     DeliveryTimeout,
     Direction,
     FatTree,
     MessageSet,
+    Schedule,
     ScheduleError,
-    schedule_greedy_first_fit,
-    schedule_random_rank,
-    schedule_theorem1,
-    simulate_online_retry,
 )
+from repro.core.registry import STACKS
 from repro.faults import DegradedFatTree, FaultModel
-from repro.hardware.buffered import run_store_and_forward
-from repro.hardware.switchsim import run_until_delivered
 from repro.obs import Obs
 from repro.workloads import uniform_random
 
@@ -47,10 +44,6 @@ def _pairs(sched):
     return [list(zip(c.src.tolist(), c.dst.tolist())) for c in sched.cycles]
 
 
-def _sorted_pairs(sched):
-    return [sorted(zip(c.src.tolist(), c.dst.tolist())) for c in sched.cycles]
-
-
 def _split_traffic(n=16):
     """Half root-crossing, half leaf-local traffic on an n-leaf tree."""
     crossing = [(i, i + n // 2) for i in range(n // 2)]
@@ -63,60 +56,36 @@ def _split_traffic(n=16):
 class TestEmptyTimelineIdentity:
     """chaos=None and an empty timeline must be indistinguishable."""
 
-    def test_random_rank(self):
-        ft = FatTree(16)
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_matches_healthy_run(self, stack):
+        # Corollary 2 needs cap(c) > lg n
+        ft = FatTree(16, ConstantCapacity(4, 5)) if stack == "corollary2" else FatTree(16)
         messages = uniform_random(16, 40, seed=3)
-        chaos = run_chaos_random_rank(ft, messages, EMPTY, seed=5)
-        healthy = schedule_random_rank(ft, messages, seed=5)
-        assert _pairs(chaos) == _pairs(healthy)
-        assert chaos.dropped is None
+        chaos = run_chaos(
+            stack, ft, messages, EMPTY, **chaos_options(stack, seed=5, max_cycles=10_000)
+        )
+        healthy = STACKS[stack].run(ft, messages, seed=5, max_cycles=10_000)
+        assert same_delivery(healthy, chaos)
+        assert check_chaos_run(ft, messages, chaos) == []
         assert chaos.cycle_stats  # the instrumented run carries stats
-        chaos.validate(ft, messages)
-
-    def test_online_retry(self):
-        ft = FatTree(16)
-        messages = uniform_random(16, 40, seed=4)
-        chaos = run_chaos_online_retry(ft, messages, EMPTY, seed=5)
-        healthy = simulate_online_retry(ft, messages, seed=5)
-        assert _pairs(chaos) == _pairs(healthy)
-        assert chaos.dropped is None
-
-    @pytest.mark.parametrize(
-        "scheduler,reference",
-        [("theorem1", schedule_theorem1), ("greedy", schedule_greedy_first_fit)],
-    )
-    def test_offline_executor(self, scheduler, reference):
-        ft = FatTree(16)
-        messages = uniform_random(16, 40, seed=7)
-        chaos = run_chaos_schedule(ft, messages, EMPTY, scheduler=scheduler)
-        healthy = reference(ft, messages)
-        assert _sorted_pairs(chaos) == _sorted_pairs(healthy)
-        assert chaos.num_cycles == healthy.num_cycles
-        chaos.validate(ft, messages)
-
-    def test_switchsim(self):
-        ft = FatTree(16)
-        messages = uniform_random(16, 24, seed=1)
-        chaos = run_chaos_switchsim(ft, messages, EMPTY, seed=2)
-        healthy = run_until_delivered(ft, messages, seed=2)
-        assert chaos.cycles == healthy.cycles
-        assert chaos.attempts == healthy.attempts
-        assert not chaos.dropped
-        for cr, hr in zip(chaos.reports, healthy.reports):
-            assert sorted((m.src, m.dst) for m in cr.delivered) == sorted(
-                (m.src, m.dst) for m in hr.delivered
-            )
-            assert len(cr.congested) == len(hr.congested)
-
-    def test_buffered(self):
-        ft = FatTree(16)
-        messages = uniform_random(16, 24, seed=6)
-        chaos = run_chaos_store_and_forward(ft, messages, EMPTY)
-        healthy = run_store_and_forward(ft, messages)
-        assert chaos.makespan == healthy.makespan
-        assert np.array_equal(chaos.latencies, healthy.latencies)
-        assert chaos.max_queue_depth == healthy.max_queue_depth
-        assert not chaos.dropped
+        if isinstance(chaos, Schedule):
+            assert _pairs(chaos) == _pairs(healthy)
+            assert chaos.dropped is None
+            chaos.validate(ft, messages)
+        elif stack == "switchsim":
+            assert chaos.cycles == healthy.cycles
+            assert chaos.attempts == healthy.attempts
+            assert not chaos.dropped
+            for cr, hr in zip(chaos.reports, healthy.reports):
+                assert sorted((m.src, m.dst) for m in cr.delivered) == sorted(
+                    (m.src, m.dst) for m in hr.delivered
+                )
+                assert len(cr.congested) == len(hr.congested)
+        else:
+            assert chaos.makespan == healthy.makespan
+            assert np.array_equal(chaos.latencies, healthy.latencies)
+            assert chaos.max_queue_depth == healthy.max_queue_depth
+            assert not chaos.dropped
 
 
 class TestPartitionInvariant:
@@ -135,7 +104,7 @@ class TestPartitionInvariant:
         ft = FatTree(8)
         messages = uniform_random(8, 24, seed=seed)
         timeline = random_timeline(ft, seed=seed + 10, events=4, horizon=8)
-        sched = run_chaos_online_retry(ft, messages, timeline, seed=seed)
+        sched = run_chaos("online-retry", ft, messages, timeline, seed=seed)
         sched.validate(ft, messages)
 
     def test_corrupted_partition_is_detected(self):
@@ -191,9 +160,6 @@ class TestRecovery:
         delivered = sorted(p for cycle in _pairs(sched) for p in cycle)
         assert delivered == sorted(local)
         assert delivered_fraction(sched) == 0.5
-        assert assert_delivered_floor(sched, 0.5) == 0.5
-        with pytest.raises(AssertionError, match="below declared floor"):
-            assert_delivered_floor(sched, 0.6)
 
     def test_on_severed_raise_aborts_with_accounting(self):
         # the mid-flight severance abort path: structured DeliveryTimeout
@@ -234,7 +200,7 @@ class TestRecovery:
     def test_buffered_drop_accounting(self):
         ft = FatTree(16)
         messages, crossing, _ = _split_traffic()
-        run = run_chaos_store_and_forward(ft, messages, ROOT_KILL)
+        run = run_chaos("buffered", ft, messages, ROOT_KILL)
         assert sorted(run.dropped) == sorted(crossing)
         assert delivered_fraction(run) == 0.5
         # dropped messages never accrue latency
@@ -243,7 +209,7 @@ class TestRecovery:
     def test_online_retry_drop_accounting(self):
         ft = FatTree(16)
         messages, crossing, _ = _split_traffic()
-        sched = run_chaos_online_retry(ft, messages, ROOT_KILL)
+        sched = run_chaos("online-retry", ft, messages, ROOT_KILL)
         sched.validate(ft, messages)
         dropped = sorted(zip(sched.dropped.src.tolist(), sched.dropped.dst.tolist()))
         assert dropped == sorted(crossing)
@@ -251,7 +217,7 @@ class TestRecovery:
     def test_offline_executor_drops_and_heals(self):
         ft = FatTree(16)
         messages, crossing, _ = _split_traffic()
-        sched = run_chaos_schedule(ft, messages, ROOT_KILL, scheduler="theorem1")
+        sched = run_chaos("theorem1", ft, messages, ROOT_KILL)
         sched.validate(ft, messages)
         dropped = sorted(zip(sched.dropped.src.tolist(), sched.dropped.dst.tolist()))
         assert dropped == sorted(crossing)
@@ -261,9 +227,8 @@ class TestRecovery:
 class TestGates:
     def test_unknown_scheduler_rejected(self):
         ft = FatTree(8)
-        with pytest.raises(ValueError, match="scheduler"):
-            run_chaos_schedule(ft, uniform_random(8, 4, seed=0), EMPTY,
-                               scheduler="quantum")
+        with pytest.raises(ValueError, match="stack"):
+            run_chaos("quantum", ft, uniform_random(8, 4, seed=0), EMPTY)
 
     def test_delivered_fraction_rejects_unknown_results(self):
         with pytest.raises(TypeError, match="delivered-fraction"):

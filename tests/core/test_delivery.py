@@ -21,11 +21,7 @@ from repro.chaos import (
     ChaosEvent,
     ChaosSchedule,
     random_timeline,
-    run_chaos_online_retry,
-    run_chaos_random_rank,
-    run_chaos_schedule,
-    run_chaos_store_and_forward,
-    run_chaos_switchsim,
+    run_chaos,
 )
 from repro.core import (
     ConstantCapacity,
@@ -154,22 +150,16 @@ EMITTERS = {
 }
 
 CHAOS_EMITTERS = {
-    "random_rank": lambda ft, m, tl, obs: run_chaos_random_rank(
-        ft, m, tl, seed=2, loss_rate=0.1, obs=obs
+    "random_rank": lambda ft, m, tl, obs: run_chaos(
+        "random-rank", ft, m, tl, seed=2, loss_rate=0.1, obs=obs
     ),
-    "online_retry": lambda ft, m, tl, obs: run_chaos_online_retry(
-        ft, m, tl, seed=2, obs=obs
+    "online_retry": lambda ft, m, tl, obs: run_chaos(
+        "online-retry", ft, m, tl, seed=2, obs=obs
     ),
-    "switchsim": lambda ft, m, tl, obs: run_chaos_switchsim(ft, m, tl, seed=2, obs=obs),
-    "store_and_forward": lambda ft, m, tl, obs: run_chaos_store_and_forward(
-        ft, m, tl, obs=obs
-    ),
-    "chaos_theorem1": lambda ft, m, tl, obs: run_chaos_schedule(
-        ft, m, tl, scheduler="theorem1", obs=obs
-    ),
-    "chaos_greedy": lambda ft, m, tl, obs: run_chaos_schedule(
-        ft, m, tl, scheduler="greedy", obs=obs
-    ),
+    "switchsim": lambda ft, m, tl, obs: run_chaos("switchsim", ft, m, tl, seed=2, obs=obs),
+    "store_and_forward": lambda ft, m, tl, obs: run_chaos("buffered", ft, m, tl, obs=obs),
+    "chaos_theorem1": lambda ft, m, tl, obs: run_chaos("theorem1", ft, m, tl, obs=obs),
+    "chaos_greedy": lambda ft, m, tl, obs: run_chaos("greedy", ft, m, tl, obs=obs),
 }
 
 PARTS = ("delivered", "congested", "retried", "deferred", "dropped")

@@ -3,7 +3,7 @@
 ``tests/corpus/delivery_golden.jsonl`` pins the exact outputs of the
 four runtime stacks (random-rank, online retry, the switch simulator
 and store-and-forward) and of the off-line chaos replay
-(``run_chaos_schedule`` over Theorem 1 and first-fit schedules): the
+(``run_chaos`` over Theorem 1 and first-fit schedules): the
 per-cycle ``(src, dst)`` sequences, the per-cycle ``CycleStats``, the
 dropped pairs, switchsim attempt counts and per-report counts, buffered
 latencies, makespan and queue depth, and the ``DeliveryTimeout`` fields
@@ -23,15 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import (
-    ChaosSchedule,
-    random_timeline,
-    run_chaos_online_retry,
-    run_chaos_random_rank,
-    run_chaos_schedule,
-    run_chaos_store_and_forward,
-    run_chaos_switchsim,
-)
+from repro.chaos import ChaosSchedule, random_timeline, run_chaos
 from repro.core import (
     DeliveryTimeout,
     FatTree,
@@ -129,16 +121,17 @@ def run_case(case: dict) -> dict:
         if stack == "random_rank":
             loss = case.get("loss_rate", 0.0)
             if chaos:
-                out = run_chaos_random_rank(
-                    ft, ms, timeline, seed=seed, loss_rate=loss, on_severed=on_severed
+                out = run_chaos(
+                    "random-rank", ft, ms, timeline,
+                    seed=seed, loss_rate=loss, on_severed=on_severed,
                 )
             else:
                 out = schedule_random_rank(ft, ms, seed=seed, loss_rate=loss)
             return _schedule_result(out)
         if stack == "online_retry":
             if chaos:
-                out = run_chaos_online_retry(
-                    ft, ms, timeline, seed=seed, on_severed=on_severed
+                out = run_chaos(
+                    "online-retry", ft, ms, timeline, seed=seed, on_severed=on_severed
                 )
             else:
                 out = simulate_online_retry(ft, ms, seed=seed)
@@ -150,8 +143,8 @@ def run_case(case: dict) -> dict:
                 "seed": seed,
             }
             if chaos:
-                out = run_chaos_switchsim(
-                    ft, ms, timeline, on_severed=on_severed, **kwargs
+                out = run_chaos(
+                    "switchsim", ft, ms, timeline, on_severed=on_severed, **kwargs
                 )
             else:
                 out = run_until_delivered(ft, ms, **kwargs)
@@ -170,7 +163,7 @@ def run_case(case: dict) -> dict:
             }
         if stack == "buffered":
             if chaos:
-                out = run_chaos_store_and_forward(ft, ms, timeline, on_severed=on_severed)
+                out = run_chaos("buffered", ft, ms, timeline, on_severed=on_severed)
             else:
                 out = run_store_and_forward(ft, ms)
             return {
@@ -181,9 +174,7 @@ def run_case(case: dict) -> dict:
                 "dropped": [list(p) for p in out.dropped],
             }
         scheduler = stack.removeprefix("chaos_")
-        out = run_chaos_schedule(
-            ft, ms, timeline, scheduler=scheduler, on_severed=on_severed
-        )
+        out = run_chaos(scheduler, ft, ms, timeline, on_severed=on_severed)
         return _schedule_result(out)
     except DeliveryTimeout as exc:
         return {

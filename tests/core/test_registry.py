@@ -7,7 +7,6 @@ import argparse
 import numpy as np
 import pytest
 
-from repro.chaos.engine import _OFFLINE_SCHEDULERS
 from repro.cli import build_parser
 from repro.core import ConstantCapacity, FatTree, MessageSet, capacity_ratio
 from repro.core.registry import BATCH_KERNELS, STACKS
@@ -48,7 +47,4 @@ def test_every_caller_reads_the_table():
     assert BATCH_KERNELS == ("greedy", "random_rank")  # the serve wire spelling
     assert SCHEDULE_STACKS == tuple(
         n for n, s in STACKS.items() if s.kind != "hardware"
-    )
-    assert _OFFLINE_SCHEDULERS == tuple(
-        n for n, s in STACKS.items() if s.kind == "offline"
     )

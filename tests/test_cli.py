@@ -317,6 +317,15 @@ class TestChaos:
         assert code == 0
         assert out == CHAOS_TABLE
 
+    def test_floor_fails_the_first_run_below_it(self, capsys):
+        code = main(["chaos", "--iters", "25", "--seed", "0", "--floor", "0.6"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert err[:2] == [
+            "error: iteration 12 [switchsim]:",
+            "  - delivered fraction 0.583 below floor 0.6",
+        ]
+
 
 class TestFuzz:
     def test_smoke_run_passes(self, capsys):

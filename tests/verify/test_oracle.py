@@ -10,6 +10,7 @@ from repro.verify import (
     SCHEDULE_STACKS,
     generate_case,
 )
+from repro.core.registry import STACKS
 from repro.verify.corpus import DEFAULT_CORPUS_PATH, load_corpus
 
 
@@ -112,13 +113,6 @@ def test_mutant_failure_report(mutant_oracle, clean_oracle):
     assert not mutant_oracle.passes(case)
 
 
-def test_hardware_and_obs_stages_optional():
-    oracle = DifferentialOracle(run_hardware=False, check_obs=False)
-    report = oracle.check(generate_case(0, 0, max_n=16))
-    assert "buffered" not in report.cycles
-    assert "switchsim" not in report.cycles
-
-
 def test_cycle_counts_respect_lambda_floor(clean_oracle):
     import math
 
@@ -146,26 +140,57 @@ def test_chaos_checks_cover_timeline_cases(clean_oracle):
     assert "chaos-theorem1" in report.cycles
 
 
+def test_chaos_checks_cover_every_stack(clean_oracle):
+    """On a case where Corollary 2 applies, every registry stack runs
+    under the case's timeline."""
+    case = FuzzCase(
+        label="wide",
+        n=8,
+        w=5,
+        src=(0, 1, 2, 5),
+        dst=(7, 6, 5, 2),
+        profile="constant",
+        chaos_events=(
+            {"at": 1, "kind": "wire-drop", "level": 1, "index": 0, "count": 2},
+            {"at": 3, "kind": "wire-repair", "level": 1, "index": 0, "count": 2},
+        ),
+    )
+    report = clean_oracle.check(case)
+    assert {f"chaos-{name}" for name in STACKS} <= set(report.cycles)
+
+
+def _drop_last_cycle(stack, monkeypatch):
+    """Patch the chaos entry point so that ``stack``'s runs silently
+    lose their last delivery cycle."""
+    import dataclasses as dc
+
+    import repro.chaos as chaos_mod
+    from repro.core import Schedule
+
+    real = chaos_mod.run_chaos
+
+    def lossy(name, ft, messages, timeline, **kwargs):
+        out = real(name, ft, messages, timeline, **kwargs)
+        if name != stack or not out.cycle_stats:
+            return out
+        if isinstance(out, Schedule):
+            return dc.replace(
+                out, cycles=out.cycles[:-1], cycle_stats=out.cycle_stats[:-1]
+            )
+        return dc.replace(
+            out,
+            cycles=out.cycles - 1,
+            reports=out.reports[:-1],
+            cycle_stats=out.cycle_stats[:-1],
+        )
+
+    monkeypatch.setattr(chaos_mod, "run_chaos", lossy)
+
+
 def test_chaos_checks_catch_a_broken_chaos_runner(clean_oracle, monkeypatch):
     """The empty-timeline identity check runs on every case: a chaos
     runner that silently loses a delivery cycle must fail conformance."""
-    import repro.chaos as chaos_mod
-
-    real = chaos_mod.run_chaos_random_rank
-
-    def lossy(ft, messages, timeline, **kwargs):
-        import dataclasses as dc
-
-        sched = real(ft, messages, timeline, **kwargs)
-        if sched.cycles:
-            return dc.replace(
-                sched,
-                cycles=sched.cycles[:-1],
-                cycle_stats=sched.cycle_stats[:-1],
-            )
-        return sched
-
-    monkeypatch.setattr(chaos_mod, "run_chaos_random_rank", lossy)
+    _drop_last_cycle("random-rank", monkeypatch)
     case = FuzzCase(label="u", n=8, w=8, src=(0, 1, 2), dst=(7, 6, 5))
     with pytest.raises(ConformanceError) as excinfo:
         clean_oracle.check(case)
@@ -173,15 +198,11 @@ def test_chaos_checks_catch_a_broken_chaos_runner(clean_oracle, monkeypatch):
     assert not clean_oracle.passes(case)
 
 
-def test_chaos_checks_can_be_disabled():
-    oracle = DifferentialOracle(check_chaos=False)
-    case = FuzzCase(
-        label="chaotic",
-        n=8,
-        w=8,
-        src=(0, 1),
-        dst=(7, 6),
-        chaos_events=({"at": 0, "kind": "switch-kill", "level": 1, "index": 0},),
-    )
-    report = oracle.check(case)
-    assert "chaos-random-rank" not in report.cycles
+def test_chaos_checks_catch_a_broken_switchsim_runner(clean_oracle, monkeypatch):
+    """The hardware stacks run under chaos too: a switch simulator whose
+    chaos run loses its last delivery cycle must fail conformance."""
+    _drop_last_cycle("switchsim", monkeypatch)
+    case = FuzzCase(label="u", n=8, w=8, src=(0, 1, 2), dst=(7, 6, 5))
+    with pytest.raises(ConformanceError) as excinfo:
+        clean_oracle.check(case)
+    assert any(f.startswith("chaos-switchsim:") for f in excinfo.value.failures)
