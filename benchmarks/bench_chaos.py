@@ -18,11 +18,13 @@ into ``BENCH_CHAOS.json`` at the repository root:
    only path survives; severed messages are dropped, not wedged).
 
 3. **Runtime stage times** — absolute wall time (best and median of
-   the repeats) of three chaos-workload stages: ``run_chaos_random_rank``
-   and ``run_chaos_switchsim`` under a wire-only ``random_timeline``,
-   and healthy ``run_store_and_forward`` (per-channel queues),
-   at ``n = 256`` with ``4n`` uniform messages.  No gate: the rows
-   record where the time goes.
+   the repeats) of five on-line stages: ``run_chaos_random_rank`` and
+   ``run_chaos_switchsim`` under a wire-only ``random_timeline``, and
+   healthy ``simulate_online_retry`` (shuffle-and-retry),
+   ``run_until_delivered`` (the switch simulator's retry loop) and
+   ``run_store_and_forward`` (per-channel queues), at ``n = 256`` with
+   ``4n`` uniform messages.  No gate: the rows record where the time
+   goes.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_chaos.py``
 (``--quick`` for the CI smoke subset, which still enforces the 2× gate
@@ -152,8 +154,8 @@ def _runtime_rows(n, *, repeats, seed=0):
     import numpy as np
 
     from repro.chaos import random_timeline, run_chaos_random_rank, run_chaos_switchsim
-    from repro.core import FatTree, MessageSet
-    from repro.hardware import run_store_and_forward
+    from repro.core import FatTree, MessageSet, simulate_online_retry
+    from repro.hardware import run_store_and_forward, run_until_delivered
 
     rng = np.random.default_rng([seed, n])
     messages = MessageSet(rng.integers(0, n, 4 * n), rng.integers(0, n, 4 * n), n)
@@ -167,6 +169,10 @@ def _runtime_rows(n, *, repeats, seed=0):
         "run_chaos_switchsim": lambda ft: run_chaos_switchsim(
             ft, messages, timeline, seed=seed
         ),
+        "simulate_online_retry": lambda ft: simulate_online_retry(
+            ft, messages, seed=seed
+        ),
+        "run_until_delivered": lambda ft: run_until_delivered(ft, messages, seed=seed),
         "run_store_and_forward": lambda ft: run_store_and_forward(ft, messages),
     }
     rows = []

@@ -129,8 +129,12 @@ class DeliveryLoop:
 
     ``policy`` and ``jrngs`` drive the backoff of lossy failures: a row
     of set ``b`` that failed its ``k``-th attempt at cycle ``t`` retries
-    at ``t + 1 + jrngs[b].integers(0, policy.window(k))``, drawn in
-    ascending failed-row order; loss-free failures retry at ``t + 1``.
+    at ``t + 1 + jrngs[b].integers(0, policy.window(k))``.  Each set
+    takes one array draw over its failed rows, in the order the attempt
+    step lists them (ascending with several sets); numpy gives it the
+    values of one scalar draw per row in that order and leaves the
+    stream where those draws would.  Loss-free failures retry at
+    ``t + 1``.
     """
 
     #: trace event name of the per-cycle record
@@ -219,20 +223,6 @@ class DeliveryLoop:
         self.pending[lo:hi] = False
         self.n_pending[b] = 0
 
-    def over_budget(self, t: int) -> bool:
-        """Retire every live set once ``t`` reaches ``max_cycles``."""
-        if t < self.max_cycles:
-            return False
-        for b, left in enumerate(self.n_pending):
-            if left:
-                self.retire(b, t)
-        return True
-
-    def raise_failure(self) -> None:
-        """Raise the lowest-index set's timeout, if any set failed."""
-        if self.failures:
-            raise self.failures[min(self.failures)]
-
     def chaos_step(self, t: int) -> tuple[list[int], dict[int, int]]:
         """Advance the chaos clock to ``t`` and settle newly severed rows.
 
@@ -276,9 +266,9 @@ class DeliveryLoop:
         if out.lossy and failed.size:
             assert self.policy is not None
             for jrng, block in zip(self.jrngs, self.split(failed)):
-                for i in block.tolist():
-                    window = self.policy.window(int(self.attempts[i]))
-                    self.next_try[i] = t + 1 + int(jrng.integers(0, window))
+                if block.size:
+                    windows = self.policy.window(self.attempts[block])
+                    self.next_try[block] = t + 1 + jrng.integers(0, windows)
         else:
             self.next_try[failed] = t + 1
         self.pending[delivered] = False
@@ -322,7 +312,10 @@ class DeliveryLoop:
         chaos = self.chaos
         t = 0
         while any(self.n_pending):
-            if self.over_budget(t):
+            if t >= self.max_cycles:  # the budget: retire every live set
+                for b, left in enumerate(self.n_pending):
+                    if left:
+                        self.retire(b, t)
                 break
             in_flight = self.n_pending[:]
             dropped = len(self.chaos_step(t)[0]) if chaos is not None else 0
@@ -354,7 +347,8 @@ class DeliveryLoop:
                     ]
                 self.finish_cycle(t, in_flight, dropped, out, stalled)
             t += 1
-        self.raise_failure()
+        if self.failures:
+            raise self.failures[min(self.failures)]
         return t
 
 

@@ -222,14 +222,15 @@ def simulate_online_retry(
     The cycle loop is :class:`~repro.core.delivery.DeliveryLoop` — its
     budget (:class:`~repro.core.errors.DeliveryTimeout` past
     ``max_cycles``), chaos handling and per-cycle record apply; this
-    stack supplies the shuffle and the first-fit pass.  ``obs`` (default:
-    the module-level :func:`~repro.obs.get_default_obs`) receives the
-    driver's ``cycle`` records, utilisation histograms and a kernel
-    wall-time span.  ``chaos`` attaches a
-    :class:`~repro.chaos.ChaosController`; the schedule then carries
-    per-cycle :class:`~repro.core.CycleStats` and the dropped messages,
-    and with an empty timeline the shuffle sequence, hence the schedule,
-    is bit-identical to a healthy run.
+    stack supplies the shuffle and the first-fit pass, a scan over
+    Python int lists of the path rows and residual capacities.
+    ``obs`` (default: the module-level
+    :func:`~repro.obs.get_default_obs`) receives the loop's ``cycle``
+    records, utilisation histograms and a kernel wall-time span.
+    ``chaos`` attaches a :class:`~repro.chaos.ChaosController`; the
+    schedule then carries per-cycle :class:`~repro.core.CycleStats` and
+    the dropped messages, and with an empty timeline the shuffle
+    sequence, hence the schedule, is bit-identical to a healthy run.
     """
     from ..obs import resolve_obs
     from ..perf import get_path_index
@@ -272,6 +273,13 @@ class _OnlineRetry(DeliveryLoop):
     (ascending) the messages whose repair has just landed; severed
     messages leave it when they park or drop.  That order is part of
     the RNG contract.
+
+    The first-fit pass scans Python int lists: the path rows once per
+    run (chaos swaps only the capacity vector, never the paths) and the
+    residual capacities once per cycle, stopping a row at its first
+    exhausted channel.  The padding gid's capacity never binds.
+    ``tests/perf/test_kernel_equivalence.py`` keeps the numpy
+    fancy-indexing step as its oracle.
     """
 
     def __init__(
@@ -286,6 +294,7 @@ class _OnlineRetry(DeliveryLoop):
         super().__init__(ft, routable, index, **loop_args)
         self.rng = rng
         self.order: list[int] = list(range(len(routable)))
+        self.paths: list[list[int]] = index.paths.tolist()
 
     def chaos_step(self, t: int) -> tuple[list[int], dict[int, int]]:
         drops, park = super().chaos_step(t)
@@ -300,17 +309,20 @@ class _OnlineRetry(DeliveryLoop):
             queued = set(order)
             order = order + [i for i in rows.tolist() if i not in queued]
         self.rng.shuffle(order)
-        paths = self.index.paths
-        residual = self.index.caps.copy()
+        paths = self.paths
+        residual: list[int] = self.index.caps.tolist()
         delivered: list[int] = []
         still: list[int] = []
         for i in order:
             path = paths[i]
-            if (residual[path] > 0).all():
-                residual[path] -= 1
-                delivered.append(i)
+            for g in path:
+                if residual[g] <= 0:
+                    still.append(i)
+                    break
             else:
-                still.append(i)
+                for g in path:
+                    residual[g] -= 1
+                delivered.append(i)
         self.order = still
         return Attempt(
             rows,

@@ -22,8 +22,12 @@ stream, making the backoff sequence a pure function of the policy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..core._types import IntArray
 
 __all__ = ["BackoffPolicy"]
 
@@ -58,11 +62,21 @@ class BackoffPolicy:
                 f"cap must be >= base ({self.base}), got {self.cap}"
             )
 
-    def window(self, attempts: int) -> int:
-        """The backoff window after ``attempts`` (>= 1) failed tries."""
-        if attempts < 1:
-            raise ValueError(f"attempts must be >= 1, got {attempts}")
-        return min(self.cap, self.base << min(attempts - 1, 30))
+    def window(self, attempts: int | IntArray) -> int | IntArray:
+        """The backoff window after ``attempts`` (>= 1) failed tries:
+        ``min(cap, base << min(attempts - 1, 30))``, elementwise when
+        ``attempts`` is an int array."""
+        tries = np.asarray(attempts, dtype=np.int64)
+        if tries.size and int(tries.min()) < 1:
+            raise ValueError(f"attempts must be >= 1, got {int(tries.min())}")
+        # past the largest shift that keeps base << shift within cap the
+        # window is cap, so no shift overflows int64
+        fits = (self.cap // self.base).bit_length() - 1
+        shift = np.minimum(tries - 1, 30)
+        windows = np.where(
+            shift > fits, self.cap, self.base << np.minimum(shift, fits)
+        )
+        return windows if isinstance(attempts, np.ndarray) else int(windows)
 
     def jitter_rng(self, fallback: np.random.Generator) -> np.random.Generator:
         """The generator jitter is drawn from.

@@ -20,14 +20,17 @@ The cycle is one array pass over the padded path rows of a
 crosses, one per switch, so at tick ``t`` every surviving message sits
 at hop ``t`` of its row: the wavefront's hop-``t`` gids are one gather.
 Each tick groups the wavefront by gid (one bucket per node output port,
-in order of first arrival), charges one per-channel ``used`` vector
-that persists across the ticks of the cycle, and loops in Python only
-over the over-subscribed buckets, whose concentrators draw the
-arbitration shuffle.  Capacities are the index's per-channel vector, so
-a :class:`~repro.faults.DegradedFatTree` is simulated against its
-surviving wires; a tree whose fault model carries a transient
-``loss_rate`` corrupts each switch traversal with that probability, in
-addition to the explicit ``fault_rate`` knob.  Every delivery cycle
+in order of first arrival) with one stable sort on a first-arrival key
+(each gid's earliest wavefront position, from ``np.minimum.at``),
+charges one per-channel ``used`` vector that persists across the ticks
+of the cycle, and loops in Python only over the over-subscribed
+buckets, whose concentrators draw the arbitration shuffle; a tick
+without transient losses allocates no loss vector and needs no sort of
+its failures, which are already in bucket order.  Capacities are the
+index's per-channel vector, so a :class:`~repro.faults.DegradedFatTree`
+is simulated against its surviving wires; a tree whose fault model
+carries a transient ``loss_rate`` corrupts each switch traversal with
+that probability, in addition to the explicit ``fault_rate`` knob.  Every delivery cycle
 asserts the conservation invariant — delivered + congested + deferred
 partitions the injected rows — and that every delivered row's last hop
 is its destination leaf, so losses can never go silently unaccounted.
@@ -267,7 +270,9 @@ def _array_cycle(
 
     Draws from ``rng`` exactly as :func:`_reference_run_delivery_cycle`
     does: one shuffle per over-subscribed bucket (free capacity 0
-    included), then one ``random()`` per winner, buckets in order.
+    included), then one ``random()`` per winner, buckets in order; with
+    transient losses, the wavefront positions between two such buckets
+    draw theirs before the next bucket's shuffle.
     """
     from ..perf import PAD_GID
 
@@ -287,6 +292,8 @@ def _array_cycle(
     delivered = [np.flatnonzero(path_len == 0)]  # self-messages
     congested: list[np.ndarray] = []
     congested_at: list[np.ndarray] = []
+    pos = np.arange(m)
+    first_at = np.empty(caps.size, dtype=np.int64)  # per gid: first arrival
     t = 0
     while wave.size:
         t += 1
@@ -295,41 +302,46 @@ def _array_cycle(
         if (gids == PAD_GID).any():
             raise AssertionError("internal message tried to leave through the root")
         # buckets by first arrival; candidates keep arrival order
-        by_gid = np.argsort(gids, kind="stable")
-        ranked = gids[by_gid]
-        head, size = _runs(ranked)
-        first = np.argsort(by_gid[head], kind="stable")
-        head, size = head[first], size[first]
-        bucket = ranked[head]
-        start = np.cumsum(size) - size
-        slot = np.arange(gids.size) - np.repeat(start, size)
-        wave = wave[by_gid[np.repeat(head, size) + slot]]
-        rank = np.repeat(np.arange(bucket.size), size)
-        free = caps[bucket] - used[bucket]
-        win = slot < np.repeat(free, size)
-        lost = np.zeros(wave.size, dtype=bool)
+        first_at[gids] = wave.size
+        np.minimum.at(first_at, gids, pos[: wave.size])
+        key = first_at[gids]
+        by_bucket = np.argsort(key, kind="stable")
+        wave, gids, key = wave[by_bucket], gids[by_bucket], key[by_bucket]
+        slot = pos[: wave.size] - np.searchsorted(key, key)
+        free = caps[gids] - used[gids]
+        win = slot < free
+        lost = np.zeros(wave.size, dtype=bool) if loss_rate else None
         if rng is not None:
+            # an over-subscribed bucket's first loser sits at slot == free
+            cut = np.flatnonzero(slot == free)
+            ends = np.searchsorted(key, key[cut], side="right").tolist()
+            taken: list[int] = []
+            winners: list[int] = []
             drawn = 0  # loss draws taken up to this wavefront position
-            for b in np.flatnonzero(size > free).tolist():
-                s, k, f = int(start[b]), int(size[b]), int(free[b])
-                if loss_rate:
+            for j, f, e in zip(cut.tolist(), free[cut].tolist(), ends):
+                s = j - f
+                if lost is not None:
                     lost[drawn:s] = rng.random(s - drawn) < loss_rate
-                order = list(range(k))
+                order = list(range(e - s))
                 rng.shuffle(order)
-                winners = s + np.asarray(sorted(order[:f]), dtype=np.int64)
-                win[s : s + k] = False
-                win[winners] = True
-                if loss_rate:
-                    lost[winners] = rng.random(f) < loss_rate
-                drawn = s + k
-            if loss_rate:
+                won = [s + i for i in sorted(order[:f])]
+                taken.extend(range(s, j))
+                winners.extend(won)
+                if lost is not None:
+                    lost[won] = rng.random(f) < loss_rate
+                drawn = e
+            win[taken] = False
+            win[winners] = True
+            if lost is not None:
                 lost[drawn:] = rng.random(wave.size - drawn) < loss_rate
-        ok = win & ~lost
-        used[bucket] += np.bincount(rank[ok], minlength=bucket.size)
+        ok = win if lost is None else win & ~lost
+        used += np.bincount(gids[ok], minlength=used.size)
+        # per bucket: the concentrator's losers, then transient faults;
+        # without losses the losers are already in bucket order
         failed = np.flatnonzero(~ok)
         if failed.size:
-            # per bucket: the concentrator's losers, then transient faults
-            failed = failed[np.argsort(2 * rank[failed] + lost[failed], kind="stable")]
+            if lost is not None:
+                failed = failed[np.argsort(2 * key[failed] + lost[failed], kind="stable")]
             congested.append(wave[failed])
             congested_at.append(np.full(failed.size, t, dtype=np.int64))
         wave = wave[ok]
