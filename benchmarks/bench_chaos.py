@@ -23,8 +23,9 @@ into ``BENCH_CHAOS.json`` at the repository root:
    healthy ``simulate_online_retry`` (shuffle-and-retry),
    ``run_until_delivered`` (the switch simulator's retry loop) and
    ``run_store_and_forward`` (per-channel queues), at ``n = 256`` with
-   ``4n`` uniform messages.  No gate: the rows record where the time
-   goes.
+   ``4n`` uniform messages.  Each repeat runs the five stages in turn,
+   so host noise spreads over all of them.  No gate: the rows record
+   where the time goes.
 
 Run standalone with ``PYTHONPATH=src python benchmarks/bench_chaos.py``
 (``--quick`` for the CI smoke subset, which still enforces the 2× gate
@@ -175,25 +176,26 @@ def _runtime_rows(n, *, repeats, seed=0):
         "run_until_delivered": lambda ft: run_until_delivered(ft, messages, seed=seed),
         "run_store_and_forward": lambda ft: run_store_and_forward(ft, messages),
     }
-    rows = []
-    for stage, call in stages.items():
-        times = []
-        for _ in range(repeats):
+    # each repeat runs every stage once, so a slow spell on the host
+    # spreads over the stages instead of landing on one
+    times: dict[str, list[float]] = {stage: [] for stage in stages}
+    for _ in range(repeats):
+        for stage, call in stages.items():
             ft = FatTree(n)  # fresh tree: no cached path index
             t0 = time.perf_counter()
             call(ft)
-            times.append(time.perf_counter() - t0)
-        rows.append(
-            {
-                "stage": stage,
-                "n": n,
-                "messages": len(messages),
-                "repeats": repeats,
-                "best_ms": round(1e3 * min(times), 2),
-                "median_ms": round(1e3 * sorted(times)[len(times) // 2], 2),
-            }
-        )
-    return rows
+            times[stage].append(time.perf_counter() - t0)
+    return [
+        {
+            "stage": stage,
+            "n": n,
+            "messages": len(messages),
+            "repeats": repeats,
+            "best_ms": round(1e3 * min(ts), 2),
+            "median_ms": round(1e3 * sorted(ts)[len(ts) // 2], 2),
+        }
+        for stage, ts in times.items()
+    ]
 
 
 def run_bench(quick=False):

@@ -19,7 +19,9 @@ messages) and ≥3× on Corollary 2 (8n uniform messages on
 one switch-simulator delivery cycle (uniform 4n messages; ``n = 256``
 with ``--quick``, ``n = 1024`` in full) over the per-frame
 ``_reference_run_delivery_cycle`` (both modes, so the CI ``--quick``
-smoke enforces them too).  The path-index cache
+smoke enforces them too).  The four off-line workloads run at
+``n = 1024`` in both modes, and at ``n = 256``, ``512`` and ``4096`` in
+full mode, ungated.  The path-index cache
 is cleared before every timed call, so the vectorised numbers are
 *cold* — cache hits across schedulers only widen the gap in real use.
 
@@ -315,7 +317,7 @@ def run_bench(quick=False):
             ("greedy uniform n=256", "greedy", 256, 40, 4),
             ("greedy perm n=1024", "greedy", 1024, None, None),
         ]
-        offline_sizes = (1024, 4096)
+        offline_sizes = (256, 512, 1024, 4096)
         repeats = REPEATS
     rows = [
         _run_case(label, kind, n, w, mpp, repeats=repeats)

@@ -2,6 +2,9 @@
 
 The benches print measured values next to these so the reader can check
 the *shape* claims (exponents, log factors) without chasing constants.
+The scheduling bounds live beside their schedulers and take the tree:
+:func:`repro.core.scheduler.theorem1_cycle_bound` and
+:func:`repro.core.reuse_scheduler.corollary2_cycle_bound`.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ import math
 
 __all__ = [
     "lg",
-    "theorem1_cycles",
-    "corollary2_cycles",
     "theorem4_components",
     "theorem4_volume",
     "theorem5_root_bandwidth",
@@ -28,18 +29,6 @@ __all__ = [
 def lg(n: float) -> float:
     """The paper's lg: max(1, log2 n)."""
     return max(1.0, math.log2(max(n, 1.0)))
-
-
-def theorem1_cycles(lam: float, n: int, constant: float = 2.0) -> float:
-    """Theorem 1: d = O(λ(M)·lg n)."""
-    return constant * max(1.0, math.ceil(lam)) * lg(n)
-
-
-def corollary2_cycles(lam: float, a: float) -> float:
-    """Corollary 2: d <= 2·ceil((a/(a−1))·λ(M)) when cap(c) >= a·lg n."""
-    if a <= 1:
-        raise ValueError("Corollary 2 needs a > 1")
-    return 2.0 * math.ceil(a / (a - 1.0) * max(lam, 1.0))
 
 
 def theorem4_components(n: int, w: int, constant: float = 12.0) -> float:

@@ -57,6 +57,7 @@ from .delivery import Attempt, DeliveryLoop
 from .errors import DeliveryTimeout, UnroutableError
 from .fattree import Direction, FatTree
 from .message import MessageSet
+from .radix import _radix_argsort
 from .schedule import Schedule
 from .tree import path_channel_keys
 
@@ -240,22 +241,6 @@ class _RandomRank(DeliveryLoop):
         del_mask = np.zeros(rows.size, dtype=bool)
         del_mask[delivered_pos] = True
         return Attempt(rows, rows[delivered_pos], rows[~del_mask], lossy=bool(lr))
-
-
-def _radix_argsort(keys: IntArray, bound: int) -> IntArray:
-    """``np.argsort(keys, kind="stable")`` for keys in ``[0, bound)``.
-
-    numpy radix-sorts integer types of 16 bits or fewer, so the keys
-    are sorted one 16-bit digit at a time, least significant first,
-    each digit one stable ``uint16`` argsort.
-    """
-    order = np.argsort(keys.astype(np.uint16), kind="stable")
-    shift = 16
-    while bound > 1 << shift:
-        digit = (keys[order] >> shift).astype(np.uint16)
-        order = order[np.argsort(digit, kind="stable")]
-        shift += 16
-    return order
 
 
 def _reference_schedule_random_rank(

@@ -39,7 +39,15 @@ distance to the lowest-position message of its path or cycle, found by
 pointer doubling over the two-step walks (source partner then
 destination partner, and the reverse).  :func:`halve_until_fit` drives
 the Theorem 1 and Corollary 2 halvings with it: every piece that still
-overloads a channel splits in the same round.
+overloads a channel splits in the same round.  The even split also says
+how many rounds a piece must keep splitting (see :func:`_overloaded`):
+a level-``k`` channel carries at most ``k`` groups and each halving
+leaves each group at least ``floor(load / 2)``, so a piece loading it
+with ``L`` over capacity ``c`` overloads for
+``bit_length(ceil((L + k) / (c + k)) - 1)`` rounds, and its loads are
+counted again only after that.  Corollary 2 on 8n uniform messages at
+n=1024 counts loads in 2 of its 8 rounds.  Every stable sort on this
+path is :func:`~repro.core.radix._radix_argsort`'s 16-bit digit passes.
 
 :func:`even_split` applies the construction to a single
 same-LCA/same-direction group; :func:`even_split_all` applies it to each
@@ -58,6 +66,7 @@ import numpy as np
 
 from .fattree import Direction, FatTree
 from .message import MessageSet
+from .radix import _radix_argsort
 
 __all__ = [
     "message_group_keys",
@@ -151,7 +160,7 @@ def _match_ends(unit: np.ndarray, leaf: np.ndarray, depth: int) -> np.ndarray:
     if m == 0:
         return partner
     ckey = (unit << depth) | leaf
-    order = np.argsort(ckey, kind="stable")
+    order = _radix_argsort(ckey, (int(unit[-1]) + 1) << depth)
     ckey = ckey[order]
     has_next = np.zeros(m, dtype=bool)
     has_next[:-1] = ckey[1:] == ckey[:-1]
@@ -232,24 +241,33 @@ def _overloaded(
     src: np.ndarray,
     dst: np.ndarray,
     lca: np.ndarray,
+    levels: list[int],
     per_channel: bool,
 ) -> np.ndarray:
-    """Per piece, whether it loads some channel past its capacity.
+    """Per piece, for how many halving rounds it is sure to overload a
+    channel (``0``: it fits).
 
-    Counts loads per ``(piece, level, ancestor)`` key, one level at a
-    time and only over the messages whose LCA lies above that level.
-    ``per_channel`` compares against :meth:`FatTree.cap_vector`;
-    otherwise against the level's :meth:`FatTree.cap`.
+    Counts loads per ``(piece, level, ancestor)`` key, one of the given
+    ``levels`` at a time and only over the messages whose LCA lies above
+    that level.  ``per_channel`` compares against
+    :meth:`FatTree.cap_vector`; otherwise against the level's
+    :meth:`FatTree.cap`.  A level-``k`` channel with load ``L`` over
+    capacity ``c`` carries at most ``k`` groups, and an even split
+    leaves each at least ``floor(load / 2)``, so every descendant ``r``
+    rounds down still carries at least ``(L + k) / 2**r - k``: the piece
+    and its descendants overload it for
+    ``bit_length(ceil((L + k) / (c + k)) - 1)`` rounds.
     """
     depth = ft.depth
-    over = np.zeros(n_pieces, dtype=bool)
+    owners: list[np.ndarray] = []
+    ratios: list[np.ndarray] = []
     for leaves, direction in ((src, Direction.UP), (dst, Direction.DOWN)):
         comp = (piece << depth) | leaves
-        order = np.argsort(comp, kind="stable")
-        comp, levels = comp[order], lca[order]
+        order = _radix_argsort(comp, n_pieces << depth)
+        comp, above = comp[order], lca[order]
         del order
-        for k in range(1, depth + 1):
-            anc = comp[levels < k]
+        for k in levels:
+            anc = comp[above < k]
             if anc.size == 0:
                 continue
             anc >>= depth - k
@@ -258,11 +276,18 @@ def _overloaded(
             keys = anc[starts]
             if per_channel:
                 cap = ft.cap_vector(k, direction)[keys & ((1 << k) - 1)]
-                bad = counts > cap
             else:
-                bad = counts > ft.cap(k)
-            over[keys[bad] >> k] = True
-    return over
+                cap = np.full(keys.size, ft.cap(k), dtype=np.int64)
+            bad = counts > cap
+            if not bad.any():
+                continue
+            cap = cap[bad]
+            owners.append(keys[bad] >> k)
+            ratios.append((counts[bad] + k + cap + k - 1) // (cap + k))
+    worst = np.ones(n_pieces, dtype=np.int64)
+    if owners:
+        np.maximum.at(worst, np.concatenate(owners), np.concatenate(ratios))
+    return _bit_lengths(worst - 1)
 
 
 def halve_until_fit(
@@ -280,12 +305,16 @@ def halve_until_fit(
     ``order`` lists message indices with each starting piece contiguous
     from its entry in ``starts``, members in ascending group key and
     position order; ``keys``/``lca`` are :func:`message_group_keys` of
-    ``messages``.  Each round tests every open piece against the channel
-    capacities (see :func:`_overloaded`) and splits all that overload in
-    one :func:`split_units` call, each (piece, group) pair a unit.  The
-    ``b`` half goes first in the piece's span, so ``order`` ends up with
-    every final piece contiguous, in the order a depth-first halving
-    that visits ``b`` before ``a`` finishes them.  ``order`` is updated
+    ``messages``.  Each round splits every open piece that overloads a
+    channel in one :func:`split_units` call, each (piece, group) pair a
+    unit.  A piece is counted against the capacities (see
+    :func:`_overloaded`) only once the rounds its last count promised
+    have run out: until then the even-split bound already says it
+    overloads, and both halves inherit what is left of the promise.  A
+    count skips the levels whose least capacity is at least the largest
+    piece's size.  The ``b`` half goes first in the piece's span, so
+    ``order`` ends up with every final piece contiguous, in the order a
+    depth-first halving that visits ``b`` before ``a`` finishes them.  ``order`` is updated
     in place; returns the final pieces' start positions.
 
     Raises ``ValueError`` when a one-message piece still overloads a
@@ -294,37 +323,56 @@ def halve_until_fit(
     src_all, dst_all = messages.src, messages.dst
     m = order.size
     starts = np.asarray(starts, dtype=np.int64)
-    open_ = np.ones(starts.size, dtype=bool)
-    while open_.any():
-        act = np.flatnonzero(open_)
+    # per level, the least channel capacity: a piece no larger fits there
+    floor = np.array([
+        min(int(ft.cap_vector(k, d).min()) for d in (Direction.UP, Direction.DOWN))
+        if per_channel else ft.cap(k)
+        for k in range(1, ft.depth + 1)
+    ], dtype=np.int64)
+    # per piece: rounds it is still sure to overload (0: test it), -1: done
+    left = np.zeros(starts.size, dtype=np.int64)
+    while True:
+        act = np.flatnonzero(left >= 0)
+        if act.size == 0:
+            break
         lo = starts[act]
         sizes = np.append(starts, m)[act + 1] - lo
         piece = np.repeat(np.arange(act.size), sizes)
         pos = np.arange(piece.size) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
-        elems = order[pos]
-        over = _overloaded(
-            ft, piece, act.size, src_all[elems], dst_all[elems], lca[elems],
-            per_channel,
-        )
+        rounds = left[act]
+        test = rounds == 0
+        if test.any():
+            sel = test[piece]
+            elems = order[pos[sel]]
+            levels = np.flatnonzero(floor < sizes[test].max()) + 1
+            rounds[test] = _overloaded(
+                ft, (np.cumsum(test) - 1)[piece[sel]], int(test.sum()),
+                src_all[elems], dst_all[elems], lca[elems], levels.tolist(),
+                per_channel,
+            )
+        over = rounds > 0
         if bool((sizes[over] == 1).any()):
             raise ValueError(
                 "a single message exceeds channel capacity; "
                 "capacities must be >= 1 on every level"
             )
-        open_[act[~over]] = False
+        left[act[~over]] = -1
         if not bool(over.any()):
             break
         sel = over[piece]
-        pos, elems, piece = pos[sel], elems[sel], piece[sel]
+        pos, piece = pos[sel], piece[sel]
+        elems = order[pos]
         is_b = split_units(
             src_all[elems], dst_all[elems], _run_ids(piece, keys[elems]), ft.depth
         )
-        order[pos] = elems[np.argsort((piece << 1) | ~is_b, kind="stable")]
+        order[pos] = elems[_radix_argsort((piece << 1) | ~is_b, 2 * act.size)]
         n_b = np.bincount(piece[is_b], minlength=act.size)[over]
+        carried = rounds[over] - 1  # both halves inherit the promise
+        left[act[over]] = carried
         starts = np.concatenate((starts, starts[act[over]] + n_b))
-        open_ = np.concatenate((open_, np.ones(n_b.size, dtype=bool)))
-        resort = np.argsort(starts, kind="stable")
-        starts, open_ = starts[resort], open_[resort]
+        left = np.concatenate((left, carried))
+        resort = _radix_argsort(starts, m + 1)
+        starts, left = starts[resort], left[resort]
     return starts
 
 

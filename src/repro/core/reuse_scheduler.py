@@ -18,9 +18,14 @@ never exceeded, and the fictitious load factor is at most
 ``(a/(a−1))·λ(M)``.
 
 The halvings run level-synchronously
-(:func:`~repro.core.partition.halve_until_fit`): each round tests every
-open piece against the real capacities and splits all that overload in
-one batched even split, every (piece, group) pair halved on its own.
+(:func:`~repro.core.partition.halve_until_fit`): each round splits every
+open piece that overloads the real capacities in one batched even split,
+every (piece, group) pair halved on its own.  The same error argument
+tells how long a piece must keep splitting: a level-``k`` channel with
+load ``L`` over capacity ``c`` still carries at least
+``(L + k) / 2**r - k`` in every descendant ``r`` halvings down, so its
+loads are counted again only after
+``bit_length(ceil((L + k) / (c + k)) - 1)`` rounds.
 Pieces come back in the order the depth-first pending-stack loop of
 :func:`_reference_schedule_corollary2` (the bit-parity oracle) finishes
 them, which visits the ``b`` half before the ``a`` half.
@@ -46,6 +51,7 @@ from .partition import (  # even_split_all: perfbench wraps it on this module
     halve_until_fit,
     message_group_keys,
 )
+from .radix import _radix_argsort
 from .schedule import Schedule
 
 __all__ = ["schedule_corollary2", "corollary2_cycle_bound", "capacity_ratio"]
@@ -102,7 +108,7 @@ def schedule_corollary2(
     with obs.kernel("schedule_corollary2", n=ft.n, m=len(routable)):
         if len(routable):
             keys, lca = message_group_keys(routable, ft.depth)
-            order = np.argsort(keys, kind="stable")
+            order = _radix_argsort(keys, 2 << ft.depth)
             starts = halve_until_fit(
                 ft, routable, keys, lca, order, np.zeros(1, dtype=np.int64),
                 per_channel=False,

@@ -49,6 +49,7 @@ from .partition import (  # even_split_indices: perfbench wraps it on this modul
     message_group_keys,
     run_starts,
 )
+from .radix import _radix_argsort
 from .schedule import Schedule
 from .tree import level_of_flat
 
@@ -156,7 +157,7 @@ def schedule_theorem1(
     with obs.kernel("schedule_theorem1", n=ft.n, m=len(routable)):
         keys, lca = message_group_keys(routable, ft.depth)
         # one piece per (LCA node, direction) group, in ascending key order
-        order = np.argsort(keys, kind="stable")
+        order = _radix_argsort(keys, 2 << ft.depth)
         starts = halve_until_fit(
             ft, routable, keys, lca, order, run_starts(keys[order]),
             per_channel=True,
@@ -183,7 +184,7 @@ def schedule_theorem1(
             base += width
         sizes = np.diff(np.append(starts, order.size))
         cycle_of_msg = np.repeat(cycle_of_piece, sizes)
-        take = order[np.argsort(cycle_of_msg, kind="stable")]
+        take = order[_radix_argsort(cycle_of_msg, base)]
         bounds = np.cumsum(np.bincount(cycle_of_msg, minlength=base))[:-1]
         cycles = [routable.take(chunk) for chunk in np.split(take, bounds)] if base else []
         if obs.enabled:

@@ -14,6 +14,9 @@ from repro.analysis import (
     growth_ratios,
     sweep,
 )
+from repro.core import ConstantCapacity, FatTree
+from repro.core.reuse_scheduler import corollary2_cycle_bound
+from repro.core.scheduler import theorem1_cycle_bound
 
 
 class TestBounds:
@@ -23,12 +26,13 @@ class TestBounds:
         assert bounds.lg(1024) == 10.0
 
     def test_theorem1(self):
-        assert bounds.theorem1_cycles(3.0, 256) == 2 * 3 * 8
+        assert theorem1_cycle_bound(FatTree(256), 3.0) == 2 * 3 * 8
 
     def test_corollary2(self):
-        assert bounds.corollary2_cycles(5.0, 2.0) == 2 * 10
+        # a = cap / lg n = 2
+        assert corollary2_cycle_bound(FatTree(256, ConstantCapacity(8, 16)), 5.0) == 2 * 10
         with pytest.raises(ValueError):
-            bounds.corollary2_cycles(1.0, 1.0)
+            corollary2_cycle_bound(FatTree(256, ConstantCapacity(8, 8)), 1.0)
 
     def test_theorem10_cube_log(self):
         assert bounds.theorem10_slowdown(256, 1.0) == 8 ** 3

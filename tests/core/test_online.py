@@ -17,7 +17,8 @@ from repro.core import (
     online_cycle_bound,
     schedule_random_rank,
 )
-from repro.core.online import _radix_argsort, _reference_schedule_random_rank
+from repro.core.online import _reference_schedule_random_rank
+from repro.core.radix import _radix_argsort
 from repro.workloads import hotspot, random_permutation, uniform_random
 
 
